@@ -129,7 +129,7 @@ def _tokenize(text: str):
 def _parse_int(token: str, line: int, col: int, what: str) -> int:
     neg = token.startswith("-")
     body = token[1:] if neg else token
-    if not body.isdigit():
+    if not (body.isascii() and body.isdigit()):
         raise SlcParseError(f"{what} must be an integer, got {token!r}", line, col)
     return -int(body) if neg else int(body)
 

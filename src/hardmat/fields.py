@@ -149,7 +149,8 @@ def find_irreducible(
     """Deterministic monic irreducible of degree d over F_p.
 
     Enumerates monic candidates with the constant term varying fastest and
-    returns the first that passes the exact Frobenius-gcd test; see
+    returns the first that passes the exact irreducibility test: Ben-Or
+    gcd steps for small factors, then Rabin's test on the survivors; see
     fppoly.find_irreducible_coeffs.  Coefficients are low-degree-first.
     """
     if not is_prime(p):
@@ -379,7 +380,7 @@ def _parse_decimal(raw: str) -> int:
     text = raw.strip()
     neg = text.startswith("-")
     body = text[1:] if neg else text
-    if not body.isdigit():
+    if not (body.isascii() and body.isdigit()):
         raise ValueError(f"not a decimal integer: {raw!r}")
     return -int(body) if neg else int(body)
 

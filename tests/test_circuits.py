@@ -118,6 +118,19 @@ class TestParse:
         assert err.value.line == 3
         assert err.value.column == 5
 
+    @pytest.mark.parametrize(
+        "text,line,column",
+        [
+            ("field prime 5\nlayer 1 1\n1 1 \u0663\nend\n", 3, 5),  # entry
+            ("field prime 5\nlayer 1 1\n\u0661 1 1\nend\n", 3, 1),  # row index
+            ("field prime \u0665\nlayer 1 1\nend\n", 1, 13),  # modulus
+        ],
+    )
+    def test_non_ascii_digits_rejected(self, text, line, column):
+        with pytest.raises(SlcParseError) as err:
+            parse_slc(text)
+        assert (err.value.line, err.value.column) == (line, column)
+
     @settings(max_examples=300)
     @given(st.text(max_size=200))
     def test_totality_on_arbitrary_text(self, text):

@@ -63,6 +63,19 @@ class TestExitCodes:
         assert result.exit_code == 1
         assert result.payload["error"]["type"] == "domain"
 
+    def test_non_ascii_digit_is_domain_error(self, monkeypatch):
+        bad = json.dumps(
+            {
+                "field": {"kind": "prime", "p": 5},
+                "rows": 1,
+                "cols": 2,
+                "entries": ["\u0663", "1"],  # ARABIC-INDIC DIGIT THREE
+            }
+        )
+        result = run(["hitting", "kernelweight"], bad, monkeypatch)
+        assert result.exit_code == 1
+        assert result.payload["error"]["type"] == "domain"
+
     def test_malformed_json_is_domain_error(self, monkeypatch):
         result = run(["ssdim", "gamma", "--t", "1"], "{not json", monkeypatch)
         assert result.exit_code == 1

@@ -172,10 +172,11 @@ class TestFindIrreducible:
         for x in range(p):  # no roots when d >= 2
             assert fppoly.eval_at(g, x, p) != 0
         # gcd(g, z^(p^i) - z) = 1 for 1 <= i <= d/2
-        h = (0, 1)
+        field = extension_field(p, g)
+        h = extension_generator(field)
         for _ in range(d // 2):
-            h = fppoly._pow_mod(h, p, g, p)
-            assert fppoly.gcd(fppoly.sub(h, (0, 1), p), g, p) == (1,)
+            h = power(field, h, p)
+            assert fppoly.gcd(fppoly.sub(fppoly.trim(h), (0, 1), p), g, p) == (1,)
 
     def test_budget_exceeded(self):
         with pytest.raises(BudgetExceeded):
@@ -262,6 +263,30 @@ class TestDescriptors:
             descriptor_from_json(
                 {"kind": "extension", "p": 2, "modulus": ["1", "1", "1"], "degree": 3}
             )
+
+    @settings(max_examples=300)
+    @given(
+        st.fixed_dictionaries(
+            {
+                "kind": st.sampled_from(["prime", "extension", "rational", "y"]),
+                "p": st.integers() | st.text(alphabet="0123456789-\u0663", max_size=3),
+                "modulus": st.lists(st.text(alphabet="01-\u0661", max_size=2)),
+                "degree": st.integers(-1, 4),
+            }
+        )
+        | st.dictionaries(st.text(max_size=6), st.integers() | st.text(max_size=4))
+    )
+    def test_totality(self, obj):
+        try:
+            descriptor_from_json(obj)
+        except (ValueError, BudgetExceeded):
+            pass  # BudgetExceeded: p above the primality bound is undecided
+
+    def test_non_ascii_digits_rejected(self):
+        with pytest.raises(ValueError, match="decimal"):
+            descriptor_from_json({"kind": "prime", "p": "\u0663"})
+        with pytest.raises(ValueError, match="decimal"):
+            decode_element(F5, "\u0663")
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):

@@ -1,0 +1,198 @@
+"""Irreducibility test and the packed arithmetic under it.
+
+The references below are the earlier Ben-Or loops: gcd(g, z^(p^i) - z) = 1
+for every 1 <= i <= d/2, one on residue tuples for every p and one on F_2
+bitmasks for large binary degrees.  They share no code with the packed test.
+"""
+
+import random
+from itertools import product
+
+import pytest
+
+from hardmat import fppoly
+from hardmat.fields import find_irreducible, is_prime
+
+BIG_PRIME = 1_000_003
+HUGE_PRIME = 999_999_999_989  # slots wider than 8 bytes
+
+
+def _pow_mod(base, e, g, p):
+    out = (1,)
+    while e:
+        if e & 1:
+            out = fppoly.mod_monic(fppoly.mul(out, base, p), g, p)
+        e >>= 1
+        if e:
+            base = fppoly.mod_monic(fppoly.mul(base, base, p), g, p)
+    return out
+
+
+def ben_or(g, p):
+    """Reference test on residue tuples."""
+    g = fppoly.trim(g)
+    d = len(g) - 1
+    if d < 1:
+        return False
+    h = z = (0, 1)
+    for _ in range(d // 2):
+        h = _pow_mod(h, p, g, p)
+        if fppoly.degree(fppoly.gcd(fppoly.sub(h, z, p), g, p)) != 0:
+            return False
+    return True
+
+
+def _f2_mod(a, g):
+    dg = g.bit_length() - 1
+    while a.bit_length() - 1 >= dg:
+        a ^= g << (a.bit_length() - 1 - dg)
+    return a
+
+
+def f2_ben_or(g):
+    """Reference test on F_2 bitmasks (bit i is the coefficient of z^i)."""
+    d = g.bit_length() - 1
+    h = 2
+    for _ in range(d // 2):
+        h = _f2_mod(int("0".join(bin(h)[2:]), 2), g)  # h(z)^2 = h(z^2)
+        a, b = g, h ^ 2
+        while b:
+            a, b = b, _f2_mod(a, b)
+        if a != 1:
+            return False
+    return True
+
+
+def _bits(g):
+    return tuple((g >> i) & 1 for i in range(g.bit_length()))
+
+
+def _random_monic(rng, p, d):
+    return tuple(rng.randrange(p) for _ in range(d)) + (1,)
+
+
+def _random_irreducible(rng, p, d, test=fppoly.is_irreducible):
+    for _ in range(50 * d):  # about one in d monic polynomials is irreducible
+        g = _random_monic(rng, p, d)
+        if test(g, p):
+            return g
+    raise AssertionError(f"no irreducible of degree {d} over F_{p} found")
+
+
+@pytest.mark.parametrize("p,top", [(2, 14), (3, 7), (5, 5), (7, 4)])
+def test_every_small_monic_against_reference(p, top):
+    for d in range(1, top + 1):
+        for low in product(range(p), repeat=d):
+            g = low + (1,)
+            assert fppoly.is_irreducible(g, p) == ben_or(g, p), g
+
+
+@pytest.mark.parametrize("d", [15, 32, 33, 48, 64, 100, 150, 211, 256, 300])
+def test_random_dense_binary_against_reference(d):
+    rng = random.Random(d)
+    samples = [(1 << d) | rng.getrandbits(d) for _ in range(40)]
+    while not f2_ben_or(samples[-1]):  # at least one irreducible
+        samples.append((1 << d) | rng.getrandbits(d))
+    for g in samples:
+        assert fppoly.is_irreducible(_bits(g), 2) == f2_ben_or(g), g
+
+
+@pytest.mark.parametrize("p,d", [(3, 15), (3, 32), (3, 41), (5, 33), (7, 32)])
+def test_random_dense_odd_against_reference(p, d):
+    rng = random.Random(p * 1000 + d)
+    samples = [_random_monic(rng, p, d) for _ in range(20)]
+    samples.append(_random_irreducible(rng, p, d, test=ben_or))
+    for g in samples:
+        assert fppoly.is_irreducible(g, p) == ben_or(g, p), g
+
+
+@pytest.mark.parametrize("p", [BIG_PRIME, HUGE_PRIME])
+def test_large_prime_against_reference(p):
+    assert is_prime(p)
+    rng = random.Random(p)
+    found = 0
+    for d in range(1, 7):
+        for _ in range(6):
+            g = _random_monic(rng, p, d)
+            expected = ben_or(g, p)
+            found += expected
+            assert fppoly.is_irreducible(g, p) == expected, g
+    assert found >= 3
+
+
+def _first_irreducibles(p, e, count):
+    out = []
+    for low in product(range(p), repeat=e):
+        g = low[::-1] + (1,)
+        if fppoly.is_irreducible(g, p):
+            out.append(g)
+            if len(out) == count:
+                return out
+
+
+@pytest.mark.parametrize("p,e,count", [(2, 17, 2), (2, 16, 3), (3, 16, 2)])
+def test_rabin_gcd_rejects_equal_degree_products(p, e, count):
+    # The product of distinct irreducibles of degree e > the Ben-Or prefix
+    # divides z^(p^d) - z; only the gcd at d/r = e can reject it.
+    factors = _first_irreducibles(p, e, count)
+    g = (1,)
+    for f in factors:
+        g = fppoly.mul(g, f, p)
+    d = len(g) - 1
+    h = (0, 1)
+    for _ in range(d):
+        h = _pow_mod(h, p, g, p)
+    assert h == (0, 1)
+    assert all(fppoly.is_irreducible(f, p) for f in factors)
+    assert not fppoly.is_irreducible(g, p)
+    assert not fppoly.is_irreducible(fppoly.mul(factors[0], factors[0], p), p)
+
+
+def test_against_sympy():
+    sympy = pytest.importorskip("sympy")
+    z = sympy.Symbol("z")
+    rng = random.Random(1904)
+    cases = [(2, 40), (2, 97), (3, 34), (3, 60), (5, 36), (11, 32), (BIG_PRIME, 33)]
+    for p, d in cases:
+        for g in [_random_monic(rng, p, d) for _ in range(3)] + [
+            _random_irreducible(rng, p, d)
+        ]:
+            expected = sympy.Poly(list(reversed(g)), z, modulus=p).is_irreducible
+            assert fppoly.is_irreducible(g, p) == expected, (p, g)
+
+
+@pytest.mark.parametrize(
+    "p,d", [(3, 2), (3, 40), (5, 7), (BIG_PRIME, 5), (HUGE_PRIME, 4)]
+)
+def test_packed_mulmod_matches_tuples(p, d):
+    rng = random.Random(d)
+    g = _random_monic(rng, p, d)
+    ring = fppoly._FpRing(g, p)
+    ring._setup()
+    for _ in range(10):
+        a, b = (fppoly.trim(_random_monic(rng, p, d)[:-1]) for _ in range(2))
+        want = fppoly.mod_monic(fppoly.mul(a, b, p), g, p)
+        got = ring._mulmod(ring._pack(list(a) or [0]), ring._pack(list(b) or [0]))
+        assert ring._tuple(got) == want
+
+
+@pytest.mark.parametrize("g", [(1 << 1281) | 1649, (1 << 300) | (1 << 150) | 3])
+def test_binary_fold_matches_long_division(g):
+    d = g.bit_length() - 1
+    ring = fppoly._F2Ring(g, d)
+    ring._setup()
+    assert ring._reduce == ring._fold
+    rng = random.Random(d)
+    for _ in range(20):
+        h = rng.getrandbits(d)
+        square = int("0".join(bin(h)[2:]), 2)
+        assert ring.frob(h) == _f2_mod(square, g)
+
+
+def test_lex_first_moduli_at_the_benchmark_degrees():
+    # `hard finite` needs deg 10 t Delta + 1: 1281 at p=2 n=3 t=2 and 161 at
+    # p=3 n=2 t=2.  Scan indices 1649 and 332 mean 1650 + 333 = 1983
+    # candidates tried.
+    assert find_irreducible(2, 1281) == _bits((1 << 1281) | 1649)
+    g3 = find_irreducible(3, 161)
+    assert len(g3) == 162 and sum(c * 3**i for i, c in enumerate(g3[:-1])) == 332

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hardmat.budgets import BudgetExceeded
 from hardmat.fields import (
     INTEGER_RING,
     RATIONAL_FIELD,
@@ -34,6 +35,31 @@ from hardmat.matrices import (
 QQ = RATIONAL_FIELD
 F2 = prime_field(2)
 F5 = prime_field(5)
+
+# Arbitrary JSON values, and objects shaped like the matrix wire format whose
+# fields hold near-miss decimal text (signs, slashes, non-ASCII digits).
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=12,
+)
+DECIMALISH = st.text(alphabet="0123456789-/ \u0663\u00b2\uff13", max_size=4)
+FIELDISH = st.fixed_dictionaries(
+    {
+        "kind": st.sampled_from(["prime", "extension", "rational", "integer-ring"]),
+        "p": st.integers() | DECIMALISH,
+        "modulus": st.lists(DECIMALISH, max_size=4),
+    }
+)
+MATRIXISH = st.fixed_dictionaries(
+    {
+        "field": FIELDISH | JSON_VALUES,
+        "rows": st.integers(-1, 3) | JSON_VALUES,
+        "cols": st.integers(-1, 3) | JSON_VALUES,
+        "entries": st.lists(DECIMALISH | st.lists(DECIMALISH, max_size=3), max_size=9),
+    }
+)
 
 
 def _rand_matrix(data, field, rows, cols, lo=-4, hi=4):
@@ -230,6 +256,20 @@ class TestJson:
         obj = {"field": {"kind": "prime", "p": 5}, "rows": 2, "cols": 2, "entries": ["1"]}
         with pytest.raises(ValueError):
             matrix_from_json(obj)
+
+    def test_non_ascii_digits_rejected(self):
+        obj = matrix_to_json(identity(F5, 1))
+        obj["entries"] = ["\u0663"]  # ARABIC-INDIC DIGIT THREE
+        with pytest.raises(ValueError, match="decimal"):
+            matrix_from_json(obj)
+
+    @settings(max_examples=300)
+    @given(JSON_VALUES | MATRIXISH)
+    def test_totality(self, obj):
+        try:
+            matrix_from_json(obj)
+        except (ValueError, BudgetExceeded):
+            pass  # BudgetExceeded: p above the primality bound is undecided
 
     def test_extra_keys_ignored(self):
         obj = matrix_to_json(identity(QQ, 2))
