@@ -39,7 +39,7 @@ from .fields import (
     ops_for,
     prime_field,
 )
-from .matrices import ExactMatrix, matmul, rank, sparsity
+from .matrices import ExactMatrix, first_mismatch, matmul, rank, sparsity
 
 __all__ = [
     "CircuitFactorization",
@@ -326,11 +326,7 @@ def verify_factorization(
             f"product is {prod.rows}x{prod.cols}, target is "
             f"{target.rows}x{target.cols}"
         )
-    mismatch = None
-    for idx, (x, y) in enumerate(zip(prod.entries, target.entries)):
-        if x != y:
-            mismatch = (idx // prod.cols + 1, idx % prod.cols + 1)
-            break
+    mismatch = first_mismatch(prod, target)
     return VerificationResult(mismatch is None, circuit.size, prod, mismatch)
 
 

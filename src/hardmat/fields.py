@@ -16,13 +16,17 @@ arithmetic for a descriptor.  All operations are pure and exact.
 
 from __future__ import annotations
 
+import sys
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import log10
 
 from . import fppoly
 from .budgets import (
     IRREDUCIBLE_SCAN_BUDGET,
+    MAX_EXPONENT_BITS,
     PRIMALITY_BOUND,
     BudgetExceeded,
 )
@@ -284,34 +288,11 @@ class _RationalOps:
         return isinstance(x, (int, Fraction)) and not isinstance(x, bool)
 
 
-class _IntegerOps:
+class _IntegerOps(_RationalOps):
     has_division = False
-
-    def __init__(self, field: FieldDescriptor):
-        self.field = field
-        self.zero = 0
-        self.one = 1
-
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def mul(self, a, b):
-        return a * b
-
-    def neg(self, a):
-        return -a
 
     def div(self, a, b):
         raise ValueError("the integer ring has no division; lift to rationals")
-
-    def is_zero(self, a) -> bool:
-        return a == 0
-
-    def from_int(self, k: int):
-        return k
 
     def conforms(self, x) -> bool:
         return isinstance(x, int) and not isinstance(x, bool)
@@ -374,6 +355,24 @@ def power(field: FieldDescriptor, x, e: int):
 # Rationals: "num/den" with den > 0 and gcd(|num|, den) = 1.
 
 
+# Digits of 2^MAX_EXPONENT_BITS, the largest integer-ring entry built.
+_MAX_INT_DIGITS = int(MAX_EXPONENT_BITS * log10(2)) + 1
+
+
+@contextmanager
+def _no_int_digit_limit():
+    """Lift Python's int/str digit limit (4300; from 3.10.7 on) in a block."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
 def _parse_decimal(raw: str) -> int:
     if not isinstance(raw, str):
         raise ValueError(f"expected a decimal string, got {type(raw).__name__}")
@@ -396,7 +395,8 @@ def encode_element(field: FieldDescriptor, x):
     if field.kind == KIND_RATIONAL:
         f = Fraction(x)
         return f"{f.numerator}/{f.denominator}"
-    return str(x)
+    with _no_int_digit_limit():
+        return str(x)
 
 
 def decode_element(field: FieldDescriptor, raw):
@@ -432,7 +432,11 @@ def decode_element(field: FieldDescriptor, raw):
         else:
             den = 1
         return Fraction(num, den)
-    return _parse_decimal(raw)
+    digits = len(raw.strip().removeprefix("-")) if isinstance(raw, str) else 0
+    if digits > _MAX_INT_DIGITS:
+        raise ValueError(f"integer has {digits} digits, more than 2^{MAX_EXPONENT_BITS} has")
+    with _no_int_digit_limit():
+        return _parse_decimal(raw)
 
 
 def descriptor_to_json(field: FieldDescriptor) -> dict:

@@ -7,12 +7,16 @@ generator matrix play the same role, because the dual code has minimum
 distance s + 1.  On top of these probes sits an explicit PSD matrix of rank
 n/2 that annihilates the first n/2 probes; any claimed Gram or invertible
 factorization of it that is too sparse contradicts the hitting guarantee,
-and the refuters below surface the exact witness.
+and the refuters below surface the exact witness.  The PSD matrix is built
+in closed form from Lagrange basis polynomials and checked in integers.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+from math import factorial, lcm
+from operator import mul
 
 from .budgets import PSD_MAX_N, BudgetExceeded, enumeration_budget
 from .fields import (
@@ -26,9 +30,11 @@ from .fields import (
 )
 from .matrices import (
     ExactMatrix,
+    _rank_rows,
+    first_mismatch,
     from_rows,
-    inverse,
     matmul,
+    nullspace,
     rank,
     sparsity,
     transpose,
@@ -148,47 +154,12 @@ def sparse_row_hit(r, s: int, hv: HittingVectors) -> int:
         raise ValueError("row is zero; nothing to hit")
     if nnz > s:
         raise ValueError(f"row has {nnz} nonzeros, more than the threshold {s}")
-    add, mul, is_zero, zero = ops.add, ops.mul, ops.is_zero, ops.zero
-    for i in range(1, s + 1):
-        v = hv.vectors[i - 1]
-        acc = zero
-        for x, y in zip(r, v):
-            if not is_zero(x):
-                acc = add(acc, mul(x, y))
-        if not is_zero(acc):
+    probes = from_rows(hv.field, list(zip(*hv.vectors[:s])))
+    values = matmul(from_rows(hv.field, [r]), probes).entries
+    for i, x in enumerate(values, start=1):
+        if not ops.is_zero(x):
             return i
     raise RuntimeError("hitting guarantee violated; this cannot happen")
-
-
-def _nullspace_mod_p(rows: list, ncols: int, p: int) -> list:
-    """Basis of the right kernel of the given row list over F_p."""
-    rows = [r[:] for r in rows]
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, len(rows)) if rows[i][c] % p), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = pow(rows[r][c], p - 2, p)
-        rows[r] = [x * inv % p for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [(x - f * y) % p for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for f in free:
-        w = [0] * ncols
-        w[f] = 1
-        for row_i, c in enumerate(pivots):
-            w[c] = (-rows[row_i][f]) % p
-        basis.append(w)
-    return basis
 
 
 def min_kernel_weight(G: ExactMatrix, budget: int | None = None) -> int | None:
@@ -200,8 +171,7 @@ def min_kernel_weight(G: ExactMatrix, budget: int | None = None) -> int | None:
     if G.field.kind != KIND_PRIME:
         raise ValueError("kernel-weight enumeration expects a prime-field matrix")
     p = G.field.p
-    gt_rows = [list(G.col(j)) for j in range(G.cols)]
-    basis = _nullspace_mod_p(gt_rows, G.rows, p)
+    basis = nullspace(transpose(G))
     dim = len(basis)
     if dim == 0:
         return None
@@ -233,79 +203,100 @@ def min_kernel_weight(G: ExactMatrix, budget: int | None = None) -> int | None:
     return best
 
 
-def _matvec(M: ExactMatrix, v) -> tuple:
-    ops = ops_for(M.field)
-    if len(v) != M.cols:
-        raise ValueError(f"vector length {len(v)} does not match {M.cols} columns")
-    out = []
-    for i in range(M.rows):
-        acc = ops.zero
-        row = M.row(i)
-        for x, y in zip(row, v):
-            if not ops.is_zero(x) and not ops.is_zero(y):
-                acc = ops.add(acc, ops.mul(x, y))
-        out.append(acc)
-    return tuple(out)
-
-
 def hit_inner(M: ExactMatrix, a, b):
     """The pairing a^T M b, exactly."""
-    a = tuple(a)
+    a, b = tuple(a), tuple(b)
     if len(a) != M.rows:
         raise ValueError(f"left vector length {len(a)} does not match {M.rows} rows")
-    mb = _matvec(M, tuple(b))
-    ops = ops_for(M.field)
-    acc = ops.zero
-    for x, y in zip(a, mb):
-        if not ops.is_zero(x) and not ops.is_zero(y):
-            acc = ops.add(acc, ops.mul(x, y))
-    return acc
+    if len(b) != M.cols:
+        raise ValueError(f"vector length {len(b)} does not match {M.cols} columns")
+    column = from_rows(M.field, [[x] for x in b])
+    return matmul(from_rows(M.field, [a]), matmul(M, column)).entries[0]
+
+
+# The rank certificate's prime: below the trial-division bound, so cheap.
+_RANK_PRIME = 2**31 - 1
+
+
+def _lagrange_rows(n: int, half: int) -> tuple[int, list]:
+    """(L, N): rows half+1..n of (V^T)^{-1} are N's over L; N's others are 0.
+
+    Row i of (V^T)^{-1} holds the coefficients, low degree first, of the
+    Lagrange polynomial prod_{j != i} (x - j) / ((-1)^(n-i) (i-1)! (n-i)!).
+    """
+    full = [1]  # prod_{j=1..n} (x - j)
+    for j in range(1, n + 1):
+        full = [b - j * a for a, b in zip(full + [0], [0] + full)]
+    live = range(half + 1, n + 1)
+    dens = [(-1) ** (n - i) * factorial(i - 1) * factorial(n - i) for i in live]
+    big_l = lcm(*dens)
+    rows = [[0] * n for _ in range(half)]
+    for i, d in zip(live, dens):
+        quotient, acc = [0] * n, 0  # full / (x - i) by synthetic division
+        for k in range(n, 0, -1):
+            acc = full[k] + i * acc
+            quotient[k - 1] = acc
+        rows.append([big_l // d * x for x in quotient])
+    return big_l, rows
+
+
+def _gram(rows: list) -> list:
+    """N^T N over the given integer rows."""
+    cols = list(zip(*rows))
+    return [[sum(map(mul, a, b)) for b in cols] for a in cols]
 
 
 def build_hard_psd(n: int, max_n: int = PSD_MAX_N) -> PsdPair:
     """Rank-n/2 PSD matrix annihilating the first n/2 probe vectors.
 
     mtilde = C (V^T)^{-1}, where V's rows are the probes on nodes 1..n and
-    C's columns are zero for i <= n/2 and e_i for i > n/2; m = mtilde^T
-    mtilde.  All defining identities are re-verified exactly before
-    returning.
+    C keeps rows n/2+1..n of the identity; m = mtilde^T mtilde.  In closed
+    form (_lagrange_rows) mtilde = N / L and m = N^T N / L^2 with N
+    integral, and all defining identities are re-verified in integers:
+    N^T N is symmetric; N V^T = L C (V^T is invertible, so the first n/2
+    rows of N are zero); v_i^T N^T N v_i = 0 for i <= n/2; rank m = n/2.
+    The rank is at most n/2 as N^T N sums n/2 rank-one terms, and at least
+    n/2 when N^T N has rank n/2 mod a prime (a minor nonzero mod p is
+    nonzero); a short mod-p rank defers to the exact rank over Q.
     """
     if n < 2 or n % 2:
         raise ValueError(f"n must be even and positive, got {n}")
     if n > max_n:
         raise BudgetExceeded(f"n={n} exceeds the exact-solve cap {max_n}")
     half = n // 2
-    v_full = vandermonde(RATIONAL_FIELD, range(1, n + 1), n)
-    c_sel = from_rows(
-        RATIONAL_FIELD,
-        [[1 if (i == j and i >= half) else 0 for j in range(n)] for i in range(n)],
-    )
-    mtilde = matmul(c_sel, inverse(transpose(v_full)))
-    m = matmul(transpose(mtilde), mtilde)
-    probes = vandermonde_vectors(n, half)
-
-    if m != transpose(m):
+    big_l, rows = _lagrange_rows(n, half)
+    gram = _gram(rows[half:])
+    nodes = vandermonde_vectors(n, n).vectors
+    if any(gram[a][b] != gram[b][a] for a in range(n) for b in range(a)):
         raise RuntimeError("psd construction: m is not symmetric")
-    if rank(m) != half:
-        raise RuntimeError("psd construction: rank(m) != n/2")
-    if matmul(mtilde, transpose(v_full)) != c_sel:
-        raise RuntimeError("psd construction: probe images are wrong")
-    for i in range(1, half + 1):
-        v = probes.vectors[i - 1]
-        if hit_inner(m, v, v) != 0:
+    for r, row in enumerate(rows):
+        for i, v in enumerate(nodes):
+            if sum(map(mul, row, v)) != (big_l if i == r >= half else 0):
+                raise RuntimeError("psd construction: probe images are wrong")
+    for v in nodes[:half]:
+        if sum(map(mul, v, (sum(map(mul, row, v)) for row in gram))):
             raise RuntimeError("psd construction: v_i^T m v_i != 0")
-    return PsdPair(n, mtilde, m, probes)
+    mod_p = [[x % _RANK_PRIME for x in row] for row in gram]
+    if _rank_rows(prime_field(_RANK_PRIME), mod_p) != half and (
+        _rank_rows(RATIONAL_FIELD, [row[:] for row in gram]) != half
+    ):
+        raise RuntimeError("psd construction: rank(m) != n/2")
+    mtilde = [Fraction(x, big_l) for row in rows for x in row]
+    m = [Fraction(x, big_l * big_l) for row in gram for x in row]
+    return PsdPair(
+        n,
+        ExactMatrix(RATIONAL_FIELD, n, n, tuple(mtilde)),
+        ExactMatrix(RATIONAL_FIELD, n, n, tuple(m)),
+        HittingVectors(RATIONAL_FIELD, n, half, nodes[:half]),
+    )
 
 
-def _first_mismatch(A: ExactMatrix, B: ExactMatrix) -> tuple[int, int] | None:
-    for idx, (x, y) in enumerate(zip(A.entries, B.entries)):
-        if x != y:
-            return (idx // A.cols + 1, idx % A.cols + 1)
-    return None
-
-
-def _quarter_bound(n: int) -> int:
-    return n * n // 4
+def _mismatch(product, pair, kind, bound, name) -> RefutationVerdict | None:
+    entry = first_mismatch(product, pair.m)
+    if entry is None:
+        return None
+    detail = f"{name} differs from m at the witness entry"
+    return RefutationVerdict(kind, bound, witness_entry=entry, detail=detail)
 
 
 def refute_symmetric(B: ExactMatrix, pair: PsdPair) -> RefutationVerdict:
@@ -322,16 +313,11 @@ def refute_symmetric(B: ExactMatrix, pair: PsdPair) -> RefutationVerdict:
         raise ValueError(f"B must have {n} columns, got {B.cols}")
     if B.field.kind != KIND_RATIONAL:
         raise ValueError("symmetric refutation runs over the rationals")
-    bound = _quarter_bound(n)
+    bound = n * n // 4
     product = matmul(transpose(B), B)
-    mismatch = _first_mismatch(product, pair.m)
+    mismatch = _mismatch(product, pair, "not-a-factorization", bound, "B^T B")
     if mismatch is not None:
-        return RefutationVerdict(
-            kind="not-a-factorization",
-            bound=bound,
-            witness_entry=mismatch,
-            detail="B^T B differs from m at the witness entry",
-        )
+        return mismatch
     total = sparsity(B).total
     if total >= bound:
         return RefutationVerdict(
@@ -383,16 +369,11 @@ def refute_invertible(
             raise ValueError(f"{name} must be {n}x{n}, got {mat.rows}x{mat.cols}")
         if mat.field.kind != KIND_RATIONAL:
             raise ValueError("invertible refutation runs over the rationals")
-    bound = _quarter_bound(n)
+    bound = n * n // 4
     product = matmul(Bfac, Cfac)
-    mismatch = _first_mismatch(product, pair.m)
+    mismatch = _mismatch(product, pair, "product-mismatch", bound, "B C")
     if mismatch is not None:
-        return RefutationVerdict(
-            kind="product-mismatch",
-            bound=bound,
-            witness_entry=mismatch,
-            detail="B C differs from m at the witness entry",
-        )
+        return mismatch
     designated = Bfac if side == SIDE_LEFT else Cfac
     if rank(designated) < n:
         return RefutationVerdict(
@@ -422,9 +403,10 @@ def refute_invertible(
         )
     i = sparse_row_hit(row, half, pair.probes)
     v = pair.probes.vectors[i - 1]
-    image = _matvec(product if side == SIDE_LEFT else transpose(product), v)
+    probe = from_rows(RATIONAL_FIELD, [[x] for x in v])
+    image = matmul(product if side == SIDE_LEFT else transpose(product), probe).entries
     j = next(k + 1 for k, x in enumerate(image) if x != 0)
-    expected = _matvec(pair.m, v)[j - 1]
+    expected = matmul(pair.m, probe).entries[j - 1]
     return RefutationVerdict(
         kind="contradiction-witness",
         bound=bound,

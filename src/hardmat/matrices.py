@@ -1,18 +1,22 @@
 """Exact dense linear algebra over any coefficient domain.
 
 Matrices are immutable, row-major, and always dense: sparsity is a measured
-property, never a storage format.  Rank and solve use ordinary Gaussian
-elimination with exact division and a deterministic pivot rule (first nonzero
-entry in column order), so traces are reproducible bit for bit.
+property, never a storage format.  Rank, solve, inverse and nullspace share
+one elimination, :func:`echelon`, with a deterministic pivot rule (first
+nonzero entry in column order); over Q it is fraction-free on integer rows,
+over F_p and extensions it divides exactly.  Traces are reproducible bit for
+bit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import lcm
 
 from .fields import (
     KIND_INTEGER,
     KIND_PRIME,
+    KIND_RATIONAL,
     RATIONAL_FIELD,
     FieldDescriptor,
     decode_element,
@@ -29,10 +33,13 @@ __all__ = [
     "identity",
     "zeros",
     "matmul",
+    "first_mismatch",
     "transpose",
+    "echelon",
     "rank",
     "solve",
     "inverse",
+    "nullspace",
     "kronecker",
     "sparsity",
     "vandermonde",
@@ -146,6 +153,14 @@ def matmul(A: ExactMatrix, B: ExactMatrix) -> ExactMatrix:
     return ExactMatrix(A.field, A.rows, B.cols, tuple(out))
 
 
+def first_mismatch(A: ExactMatrix, B: ExactMatrix) -> tuple[int, int] | None:
+    """First differing entry of two equal-shape matrices, 1-based; None if equal."""
+    for idx, (x, y) in enumerate(zip(A.entries, B.entries)):
+        if x != y:
+            return (idx // A.cols + 1, idx % A.cols + 1)
+    return None
+
+
 def transpose(A: ExactMatrix) -> ExactMatrix:
     flat = []
     for j in range(A.cols):
@@ -153,65 +168,71 @@ def transpose(A: ExactMatrix) -> ExactMatrix:
     return ExactMatrix(A.field, A.cols, A.rows, tuple(flat))
 
 
-def _require_division(field: FieldDescriptor):
-    if not ops_for(field).has_division:
+def _integer_row(row: list) -> list:
+    """A rational row times the lcm of its denominators."""
+    d = lcm(*(x.denominator for x in row))
+    return [x.numerator * (d // x.denominator) for x in row]
+
+
+def echelon(field: FieldDescriptor, rows: list, reduce: bool = False):
+    """Pivot columns and an echelon form of a list of row lists (consumed).
+
+    Each pivot is the first nonzero entry in column order, from the earliest
+    remaining row.  Over Q the rows are scaled to integers and eliminated
+    fraction-free (Bareiss, Math. Comp. 1968): with p_k the k-th pivot, in
+    column c, row_i <- (p_k row_i - row_i[c] row_k) / p_(k-1), an exact
+    division.  Other fields subtract row_i[c] / p_k times row_k.  Returns
+    (pivots, rows), rows past len(pivots) zero: with ``reduce`` the reduced
+    row-echelon form in field elements, else only entries below pivots
+    cleared, each row at some nonzero scale.
+    """
+    ops = ops_for(field)
+    if not ops.has_division:
         raise ValueError(
             "elimination needs exact division; lift integer-ring matrices to rationals"
         )
-
-
-def _rank_rows(field: FieldDescriptor, rows: list) -> int:
-    """Rank of a list of row lists; consumed destructively."""
-    _require_division(field)
-    if not rows:
-        return 0
-    ncols = len(rows[0])
-    if field.kind == KIND_PRIME:
-        return _rank_rows_mod_p(rows, ncols, field.p)
-    ops = ops_for(field)
-    sub, mul, div, is_zero = ops.sub, ops.mul, ops.div, ops.is_zero
-    r = 0
-    for c in range(ncols):
+    is_zero, mul, sub = ops.is_zero, ops.mul, ops.sub
+    bareiss = field.kind == KIND_RATIONAL
+    if bareiss:
+        rows = [_integer_row(r) for r in rows]
+    p = field.p if field.kind == KIND_PRIME else None
+    pivots: list[int] = []
+    prev = 1  # the previous pivot, Bareiss's divisor
+    for c in range(len(rows[0]) if rows else 0):
+        r = len(pivots)
         piv = next((i for i in range(r, len(rows)) if not is_zero(rows[i][c])), None)
         if piv is None:
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
-        pivot_row = rows[r]
-        pv = pivot_row[c]
-        for i in range(r + 1, len(rows)):
-            x = rows[i][c]
-            if is_zero(x):
+        prow, pv = rows[r], rows[r][c]
+        inv = None if bareiss else ops.div(ops.one, pv)
+        for i in range(0 if reduce else r + 1, len(rows)):
+            row, f = rows[i], rows[i][c]
+            # Bareiss rescales a row with f = 0 too, by pv / prev
+            if i == r or (is_zero(f) and (pv == prev or not bareiss)):
                 continue
-            f = div(x, pv)
-            row = rows[i]
-            for j in range(c, ncols):
-                row[j] = sub(row[j], mul(f, pivot_row[j]))
-        r += 1
-        if r == len(rows):
+            if bareiss:
+                rows[i] = [(pv * x - f * y) // prev for x, y in zip(row, prow)]
+            elif p:
+                f = f * inv % p
+                rows[i] = [(x - f * y) % p for x, y in zip(row, prow)]
+            else:
+                f = mul(f, inv)
+                rows[i] = [sub(x, mul(f, y)) for x, y in zip(row, prow)]
+        pivots.append(c)
+        prev = pv
+        if len(pivots) == len(rows):
             break
-    return r
+    if reduce:
+        for k, c in enumerate(pivots):
+            inv = ops.div(ops.one, rows[k][c])
+            rows[k] = [mul(x, inv) for x in rows[k]]
+    return pivots, rows
 
 
-def _rank_rows_mod_p(rows: list, ncols: int, p: int) -> int:
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, len(rows)) if rows[i][c] % p), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        pivot_row = rows[r]
-        inv = pow(pivot_row[c], p - 2, p)
-        for i in range(r + 1, len(rows)):
-            x = rows[i][c]
-            if x:
-                f = x * inv % p
-                row = rows[i]
-                for j in range(c, ncols):
-                    row[j] = (row[j] - f * pivot_row[j]) % p
-        r += 1
-        if r == len(rows):
-            break
-    return r
+def _rank_rows(field: FieldDescriptor, rows: list) -> int:
+    """Rank of a list of row lists; consumed destructively."""
+    return len(echelon(field, rows)[0])
 
 
 def rank(A: ExactMatrix) -> int:
@@ -219,44 +240,38 @@ def rank(A: ExactMatrix) -> int:
 
 
 def solve(A: ExactMatrix, B: ExactMatrix) -> ExactMatrix:
-    """Exact X with A X = B for square invertible A (Gauss-Jordan)."""
+    """Exact X with A X = B for square invertible A: [A | B] reduced to [I | X]."""
     _require_same_field(A, B)
-    _require_division(A.field)
     if A.rows != A.cols:
         raise ValueError("solve needs a square coefficient matrix")
     if A.rows != B.rows:
         raise ValueError("right-hand side has the wrong number of rows")
-    ops = ops_for(A.field)
-    sub, mul, div, is_zero = ops.sub, ops.mul, ops.div, ops.is_zero
-    n, m = A.rows, B.cols
+    n = A.rows
     aug = [list(A.row(i)) + list(B.row(i)) for i in range(n)]
-    width = n + m
-    for c in range(n):
-        piv = next((i for i in range(c, n) if not is_zero(aug[i][c])), None)
-        if piv is None:
-            raise ValueError("matrix is singular")
-        aug[c], aug[piv] = aug[piv], aug[c]
-        pivot_row = aug[c]
-        pv = pivot_row[c]
-        for j in range(c, width):
-            pivot_row[j] = div(pivot_row[j], pv)
-        for i in range(n):
-            if i == c:
-                continue
-            x = aug[i][c]
-            if is_zero(x):
-                continue
-            row = aug[i]
-            for j in range(c, width):
-                row[j] = sub(row[j], mul(x, pivot_row[j]))
+    pivots, aug = echelon(A.field, aug, reduce=True)
+    if len(pivots) < n or pivots[n - 1] != n - 1:
+        raise ValueError("matrix is singular")
     flat = []
-    for i in range(n):
-        flat.extend(aug[i][n:])
-    return ExactMatrix(A.field, n, m, tuple(flat))
+    for row in aug:
+        flat.extend(row[n:])
+    return ExactMatrix(A.field, n, B.cols, tuple(flat))
 
 
 def inverse(A: ExactMatrix) -> ExactMatrix:
     return solve(A, identity(A.field, A.rows))
+
+
+def nullspace(A: ExactMatrix) -> list[tuple]:
+    """Basis of {x : A x = 0}, one vector per non-pivot column of A."""
+    pivots, red = echelon(A.field, A.row_lists(), reduce=True)
+    ops = ops_for(A.field)
+    basis = []
+    for f in sorted(set(range(A.cols)) - set(pivots)):
+        w = [ops.one if j == f else ops.zero for j in range(A.cols)]
+        for k, c in enumerate(pivots):
+            w[c] = ops.neg(red[k][f])
+        basis.append(tuple(w))
+    return basis
 
 
 def kronecker(A: ExactMatrix, B: ExactMatrix) -> ExactMatrix:

@@ -10,6 +10,7 @@ import random
 import time
 from itertools import combinations, product
 from math import comb
+from operator import mul
 
 from mpmath import mp, mpf
 
@@ -21,6 +22,7 @@ from hardmat.circuits import (
     parse_slc,
     verify_factorization,
 )
+from hardmat.budgets import PSD_MAX_N
 from hardmat.constructions import amplify_direct_sum, hard_over_finite, trivial_hard
 from hardmat.fields import (
     INTEGER_RING,
@@ -170,29 +172,42 @@ def test_criterion_05_certification_arithmetic():
 
 
 def test_criterion_06_psd_hard_instance():
-    with _Clock(6, "PSD pairs verify exactly for even n up to 32", 120):
-        for n in (2, 4, 8, 16, 32):
+    with _Clock(6, "PSD pairs verify exactly for every even n up to 64", 120):
+        for n in range(2, PSD_MAX_N + 1, 2):
             pair = build_hard_psd(n)
             half = n // 2
-            assert pair.m == matmul(transpose(pair.mtilde), pair.mtilde)
             assert pair.m == transpose(pair.m)
-            assert rank(pair.m) == half
+            # Clear denominators, then check in integers: m = mtilde^T mtilde,
+            # mtilde v_i = 0 for i <= n/2 and e_i above, v_i^T m v_i = 0.
+            den = math.lcm(*(x.denominator for x in pair.mtilde.entries))
+
+            def scaled(a, d):
+                assert all(d % x.denominator == 0 for x in a.entries)
+                return [[x.numerator * (d // x.denominator) for x in a.row(r)]
+                        for r in range(n)]
+
+            num = scaled(pair.mtilde, den)
+            m_num = scaled(pair.m, den * den)
+            cols = list(zip(*num))
+            gram = [[sum(map(mul, a, b)) for b in cols] for a in cols]
+            assert m_num == gram
             probes = vandermonde_vectors(n, n).vectors
-            for i in range(1, half + 1):
-                v = probes[i - 1]
-                image = tuple(
-                    sum(pair.mtilde.at(r, c) * v[c] for c in range(n))
-                    for r in range(n)
-                )
-                assert image == (0,) * n
-                assert hit_inner(pair.m, v, v) == 0
-            for i in range(half + 1, n + 1):
-                v = probes[i - 1]
-                image = tuple(
-                    sum(pair.mtilde.at(r, c) * v[c] for c in range(n))
-                    for r in range(n)
-                )
-                assert image == tuple(1 if k == i - 1 else 0 for k in range(n))
+            for i, v in enumerate(probes, start=1):
+                image = [sum(map(mul, row, v)) for row in num]
+                if i <= half:
+                    assert image == [0] * n
+                    assert sum(map(mul, v, (sum(map(mul, r, v)) for r in gram))) == 0
+                else:
+                    assert image == [den * (k == i - 1) for k in range(n)]
+            # rank: at most n/2 (mtilde has n/2 zero rows, and rank m = rank
+            # mtilde), at least n/2 (a nonzero minor mod p is nonzero over Z)
+            assert all(not any(row) for row in num[:half])
+            p = 1_000_003
+            assert rank(from_rows(prime_field(p), gram)) == half
+            if n <= 32:  # and in Fractions, as returned
+                assert pair.m == matmul(transpose(pair.mtilde), pair.mtilde)
+                assert rank(pair.m) == half
+                assert all(hit_inner(pair.m, v, v) == 0 for v in probes[:half])
         assert build_hard_psd(2).m == from_rows(QQ, [[1, -1], [-1, 1]])
 
 

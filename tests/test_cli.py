@@ -8,6 +8,7 @@ import sys
 import pytest
 
 from hardmat.cli import dispatch, main, read_matrix
+from hardmat.constructions import trivial_hard
 from hardmat.fields import prime_field
 from hardmat.matrices import identity, matrix_from_json, matrix_to_json
 
@@ -134,6 +135,16 @@ class TestHardPipelines:
         result = dispatch(["hard", "quasipoly", "--n", "4", "--c", "1"])
         assert result.exit_code == 0
         assert result.payload["provenance"]["parameters"]["k"] == 2
+
+    def test_trivial_at_its_cap(self):
+        # entries up to 2^(2^19), 157,827 digits: past the int/str digit limit
+        built = dispatch(["hard", "trivial", "--n", "4"])
+        assert built.exit_code == 0
+        assert matrix_from_json(built.payload) == trivial_hard(4).matrix
+        block = dispatch(["hard", "quasipoly", "--n", "4", "--c", "2"])
+        assert block.exit_code == 0
+        assert block.payload["provenance"]["parameters"]["k"] == 4
+        assert block.payload["entries"] == built.payload["entries"]
 
 
 class TestSsdimCommands:

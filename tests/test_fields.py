@@ -1,5 +1,6 @@
 """Field arithmetic, primality, irreducible search, and wire encodings."""
 
+import sys
 from fractions import Fraction
 from itertools import product
 
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hardmat import fppoly
+from hardmat import fields, fppoly
 from hardmat.budgets import BudgetExceeded
 from hardmat.fields import (
     INTEGER_RING,
@@ -26,6 +27,7 @@ from hardmat.fields import (
     power,
     prime_field,
 )
+from hardmat.matrices import matrix_from_json
 
 F5 = prime_field(5)
 F2 = prime_field(2)
@@ -235,6 +237,24 @@ class TestEncodings:
         for bad in ("x", "1.5", "", "1e3"):
             with pytest.raises(ValueError):
                 decode_element(INTEGER_RING, bad)
+
+    def test_integers_past_the_default_digit_limit(self):
+        limit = sys.get_int_max_str_digits()
+        x = -(7 ** 20000)  # 16,902 digits, past Python's default of 4300
+        text = encode_element(INTEGER_RING, x)
+        assert decode_element(INTEGER_RING, text) == x
+        assert sys.get_int_max_str_digits() == limit  # lifted only inside
+
+    def test_integer_digit_cap(self):
+        # 2^MAX_EXPONENT_BITS = 2^(10^7) has floor(10^7 log10 2) + 1 digits
+        assert fields._MAX_INT_DIGITS == 3_010_300
+        too_long = "-" + "1" * (fields._MAX_INT_DIGITS + 1)
+        with pytest.raises(ValueError, match="3010301 digits"):
+            decode_element(INTEGER_RING, too_long)
+        obj = {"field": {"kind": "integer-ring"}, "rows": 1, "cols": 2,
+               "entries": ["1", too_long]}
+        with pytest.raises(ValueError, match="^entry 1: integer has 3010301 digits"):
+            matrix_from_json(obj)
 
 
 class TestDescriptors:

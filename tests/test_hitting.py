@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hardmat import hitting
 from hardmat.budgets import BudgetExceeded
 from hardmat.fields import RATIONAL_FIELD, prime_field
 from hardmat.hitting import (
@@ -23,6 +24,7 @@ from hardmat.matrices import (
     from_rows,
     identity,
     matmul,
+    nullspace,
     rank,
     transpose,
     vandermonde,
@@ -156,11 +158,9 @@ class TestReedSolomon:
 
 class TestMinKernelWeight:
     def test_nullspace_members_annihilate(self):
-        from hardmat.hitting import _nullspace_mod_p
-
         g = rs_generator(RSParams(5, 3))
         gt_rows = [list(g.col(j)) for j in range(g.cols)]
-        basis = _nullspace_mod_p(gt_rows, g.rows, 5)
+        basis = nullspace(transpose(g))
         assert len(basis) == g.rows - g.cols
         for w in basis:
             for row in gt_rows:
@@ -239,8 +239,66 @@ class TestBuildHardPsd:
             build_hard_psd(3)
 
     def test_budget(self):
-        with pytest.raises(BudgetExceeded):
+        with pytest.raises(BudgetExceeded, match="n=66 exceeds the exact-solve cap 64"):
             build_hard_psd(66)
+
+
+def _patched(monkeypatch, name, change):
+    """Replace hitting.<name> by a version whose result goes through change."""
+    real = getattr(hitting, name)
+    monkeypatch.setattr(hitting, name, lambda *args: change(real(*args)))
+
+
+class TestBuildChecksAreLive:
+    """Each exact re-check in build_hard_psd fires on its own defect."""
+
+    def test_wrong_lagrange_row(self, monkeypatch):
+        def bump(result):
+            big_l, rows = result
+            rows[-1][0] += 1
+            return big_l, rows
+
+        _patched(monkeypatch, "_lagrange_rows", bump)
+        with pytest.raises(RuntimeError, match="probe images are wrong"):
+            build_hard_psd(8)
+
+    def test_asymmetric_gram(self, monkeypatch):
+        def skew(gram):
+            gram[0][1] += 1
+            return gram
+
+        _patched(monkeypatch, "_gram", skew)
+        with pytest.raises(RuntimeError, match="m is not symmetric"):
+            build_hard_psd(8)
+
+    def test_gram_not_killing_a_probe(self, monkeypatch):
+        def bump(gram):
+            gram[0][0] += 1  # v_1^T m v_1 grows by 1
+            return gram
+
+        _patched(monkeypatch, "_gram", bump)
+        with pytest.raises(RuntimeError, match=r"v_i\^T m v_i != 0"):
+            build_hard_psd(8)
+
+    def test_gram_of_too_few_rows(self, monkeypatch):
+        real = hitting._gram
+        monkeypatch.setattr(hitting, "_gram", lambda rows: real(rows[1:]))
+        with pytest.raises(RuntimeError, match=r"rank\(m\) != n/2"):
+            build_hard_psd(8)
+
+    def test_short_mod_p_rank_falls_back_to_exact(self, monkeypatch):
+        want = build_hard_psd(8)
+        ranks = []
+        real = hitting._rank_rows
+
+        def spy(field, rows):
+            ranks.append((field.kind, real(field, rows)))
+            return ranks[-1][1]
+
+        monkeypatch.setattr(hitting, "_RANK_PRIME", 7)  # rank 1 mod 7 at n = 8
+        monkeypatch.setattr(hitting, "_rank_rows", spy)
+        assert build_hard_psd(8) == want
+        assert ranks == [("prime", 1), ("rational", 4)]
 
 
 class TestRefuteSymmetric:
