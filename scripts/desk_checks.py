@@ -90,9 +90,13 @@ def main():
         )
 
     section("Reed-Solomon dual kernel weights (exhaustive)")
-    for q, k in [(5, 2), (5, 4), (7, 3), (11, 8), (13, 10)]:
+    for q, k in [(5, 2), (5, 4), (7, 3), (11, 8), (13, 8), (13, 10)]:
+        t_kernel = time.perf_counter()
         w = min_kernel_weight(rs_generator(RSParams(q, k)))
-        print(f"  q={q:2d} k={k}: min nonzero kernel weight = {w} (k+1 = {k + 1})")
+        print(
+            f"  q={q:2d} k={k}: min nonzero kernel weight = {w} (k+1 = {k + 1}), "
+            f"{time.perf_counter() - t_kernel:.3f}s"
+        )
 
     section("Amplification law via the depth-2 oracle")
     ones = from_rows(F2, [[1, 1], [1, 1]])
@@ -113,6 +117,16 @@ def main():
             f"{2 * found.s_min - 1} and an explicit witness of size "
             f"{check.size} (verified={check.equal})"
         )
+
+    section("Depth-2 oracle on the 4x4 upper-triangular matrix over F_2")
+    ut4 = from_rows(F2, [[int(j >= i) for j in range(4)] for i in range(4)])
+    t_search = time.perf_counter()
+    result = min_depth2_sparsity(ut4, s_max=9, budget=10_000_000)
+    status = "found" if result.s_min is not None else "none"
+    print(
+        f"  s_max=9: status {status}, {result.nodes} support pairs, "
+        f"{time.perf_counter() - t_search:.3f}s"
+    )
 
     print(f"\nall desk checks done in {time.time() - t0:.1f}s")
 

@@ -16,7 +16,11 @@ nonzero entries.  The ``.slc`` text format is line-oriented:
 The oracle enumerates depth-2 support patterns in order of increasing total
 sparsity, assigns nonzero values exhaustively, and returns the first (hence
 minimal) exact factorization; pruning is by sound rank and coverage
-arguments only.
+arguments only.  Its work count ``nodes`` is the number of (B, C) support
+pairs, in that joint order, up to and including the hit; a pair counts
+whether or not it is pruned, except that the pairs of a B support failing
+B's own pruning are skipped uncounted.  Benchmarks pin this count, so it is
+part of the contract.
 """
 
 from __future__ import annotations
@@ -24,6 +28,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from itertools import combinations, product
+from math import comb
 
 from .budgets import BudgetExceeded, enumeration_budget
 from .fields import (
@@ -345,6 +350,15 @@ def min_depth2_sparsity(
     m >= rank(A); B needs >= rank(A) supported columns and a supported row
     wherever A has a nonzero row (dually for C); every nonzero A entry needs
     a middle index shared by its row of B and column of C.
+
+    ``nodes`` is the number of (B, C) support pairs, in that joint order, up
+    to and including the hit (all of them when there is none), counted
+    whether or not they are pruned; only the pairs of a B support that fails
+    B's own pruning go uncounted.  The budget caps ``nodes``: BudgetExceeded
+    is raised on reaching pair budget + 1.  The C supports that pass C's own
+    pruning are tabled once per (m, |C|), so a B support costs one
+    shared-index test per tabled C support, and its other pairs are counted
+    in bulk.
     """
     field = A.field
     if field.kind != KIND_PRIME or field.p > 3:
@@ -363,6 +377,11 @@ def min_depth2_sparsity(
     p = field.p
     cap = enumeration_budget(budget)
 
+    def exceeded():
+        return BudgetExceeded(
+            f"search explored {cap + 1} support pairs; budget is {cap}"
+        )
+
     rank_a = rank(A)
     rows_nonzero = [i for i in range(n) if any(A.row(i))]
     cols_nonzero = [j for j in range(n) if any(A.col(j))]
@@ -373,6 +392,7 @@ def min_depth2_sparsity(
     ]
     a_flat = A.entries
     values = list(range(1, p))
+    c_tables: dict[tuple[int, int], tuple[int, list]] = {}
     nodes = 0
 
     for s in range(s_max + 1):
@@ -393,27 +413,21 @@ def min_depth2_sparsity(
                     b_k_by_row = [0] * n
                     for i, k in b_pos:
                         b_k_by_row[i] |= 1 << k
-                    for supp_c in combinations(range(m * n), s_c):
-                        nodes += 1
-                        if nodes > cap:
-                            raise BudgetExceeded(
-                                f"search explored {nodes} support pairs; "
-                                f"budget is {cap}"
-                            )
-                        c_pos = [divmod(pos, n) for pos in supp_c]  # (k, j)
-                        c_cols = {j for _, j in c_pos}
-                        if any(j not in c_cols for j in cols_nonzero):
-                            continue
-                        if len({k for k, _ in c_pos}) < rank_a:
-                            continue
-                        c_k_by_col = [0] * n
-                        for k, j in c_pos:
-                            c_k_by_col[j] |= 1 << k
+                    table = c_tables.get((m, s_c))
+                    if table is None:
+                        table = c_tables[m, s_c] = _c_table(
+                            n, m, s_c, cols_nonzero, rank_a
+                        )
+                    total, c_supports = table
+                    for idx, c_k_by_col, supp_c in c_supports:
+                        if nodes + idx >= cap:
+                            raise exceeded()
                         if any(
                             not (b_k_by_row[i] & c_k_by_col[j])
                             for i, j in nonzero_entries
                         ):
                             continue
+                        c_pos = [divmod(pos, n) for pos in supp_c]  # (k, j)
                         hit = _assign_values(
                             a_flat, n, m, p, b_pos, c_pos, values
                         )
@@ -421,8 +435,35 @@ def min_depth2_sparsity(
                             witness = _build_witness(
                                 field, n, m, b_pos, c_pos, hit
                             )
-                            return SearchResult(s, witness, nodes, s_max, m_max)
+                            return SearchResult(
+                                s, witness, nodes + idx + 1, s_max, m_max
+                            )
+                    nodes += total
+                    if nodes > cap:
+                        raise exceeded()
     return SearchResult(None, None, nodes, s_max, m_max)
+
+
+def _c_table(n, m, s_c, cols_nonzero, rank_a):
+    """All C supports of size s_c, counted, and those passing C's pruning.
+
+    Returns ``(total, [(index, c_k_by_col, supp_c), ...])``: index is the
+    support's 0-based position in lex order, and c_k_by_col[j] the bitmask
+    of middle indices k with C[k][j] in the support.
+    """
+    kept = []
+    for idx, supp_c in enumerate(combinations(range(m * n), s_c)):
+        c_pos = [divmod(pos, n) for pos in supp_c]  # (k, j)
+        c_cols = {j for _, j in c_pos}
+        if any(j not in c_cols for j in cols_nonzero):
+            continue
+        if len({k for k, _ in c_pos}) < rank_a:
+            continue
+        c_k_by_col = [0] * n
+        for k, j in c_pos:
+            c_k_by_col[j] |= 1 << k
+        kept.append((idx, tuple(c_k_by_col), supp_c))
+    return comb(m * n, s_c), kept
 
 
 def _assign_values(a_flat, n, m, p, b_pos, c_pos, values):

@@ -373,7 +373,28 @@ def _no_int_digit_limit():
         sys.set_int_max_str_digits(old)
 
 
-def _parse_decimal(raw: str) -> int:
+# Digit strings longer than this are parsed in two halves: CPython 3.11's
+# str -> int is quadratic in the digit count (10^6 digits take seconds).
+_SPLIT_DIGITS = 2048
+
+
+@lru_cache(maxsize=None)  # k = _SPLIT_DIGITS * 2^j: 11 keys below the digit cap
+def _pow10(k: int) -> int:
+    return 10**k
+
+
+def _digits_to_int(body: str) -> int:
+    """int(body) for an ASCII digit string, subquadratic in its length."""
+    n = len(body)
+    if n <= _SPLIT_DIGITS:
+        return int(body)
+    k = _SPLIT_DIGITS
+    while 2 * k < n:
+        k *= 2
+    return _digits_to_int(body[:-k]) * _pow10(k) + _digits_to_int(body[-k:])
+
+
+def _parse_decimal(raw: str, to_int=int) -> int:
     if not isinstance(raw, str):
         raise ValueError(f"expected a decimal string, got {type(raw).__name__}")
     text = raw.strip()
@@ -381,7 +402,7 @@ def _parse_decimal(raw: str) -> int:
     body = text[1:] if neg else text
     if not (body.isascii() and body.isdigit()):
         raise ValueError(f"not a decimal integer: {raw!r}")
-    return -int(body) if neg else int(body)
+    return -to_int(body) if neg else to_int(body)
 
 
 def encode_element(field: FieldDescriptor, x):
@@ -435,8 +456,7 @@ def decode_element(field: FieldDescriptor, raw):
     digits = len(raw.strip().removeprefix("-")) if isinstance(raw, str) else 0
     if digits > _MAX_INT_DIGITS:
         raise ValueError(f"integer has {digits} digits, more than 2^{MAX_EXPONENT_BITS} has")
-    with _no_int_digit_limit():
-        return _parse_decimal(raw)
+    return _parse_decimal(raw, _digits_to_int)
 
 
 def descriptor_to_json(field: FieldDescriptor) -> dict:

@@ -165,8 +165,10 @@ def sparse_row_hit(r, s: int, hv: HittingVectors) -> int:
 def min_kernel_weight(G: ExactMatrix, budget: int | None = None) -> int | None:
     """Minimum Hamming weight over all nonzero vectors in ker(G^T), exhaustively.
 
-    Returns None when the kernel is zero.  The kernel is enumerated as all
-    q^dim coefficient combinations of a basis, so q^dim must fit the budget.
+    Returns None when the kernel is zero.  Weight is invariant under nonzero
+    scaling, so only the (p^dim - 1)/(p - 1) coefficient combinations of a
+    basis whose first nonzero coefficient is 1 are enumerated, depth-first;
+    the budget still caps the whole kernel: p^dim must fit it.
     """
     if G.field.kind != KIND_PRIME:
         raise ValueError("kernel-weight enumeration expects a prime-field matrix")
@@ -178,28 +180,26 @@ def min_kernel_weight(G: ExactMatrix, budget: int | None = None) -> int | None:
     cap = enumeration_budget(budget)
     if p**dim > cap:
         raise BudgetExceeded(f"kernel has {p}^{dim} vectors, budget is {cap}")
-    ncols = G.rows
     multiples = [
         [tuple(c * x % p for x in b) for c in range(p)] for b in basis
     ]
     best: int | None = None
 
-    def explore(level: int, acc: tuple, nonzero: bool):
+    def explore(level: int, acc: tuple):
         nonlocal best
         if best == 1:
             return
         if level == dim:
-            if nonzero:
-                w = sum(1 for x in acc if x)
-                if best is None or w < best:
-                    best = w
+            w = sum(1 for x in acc if x)
+            if best is None or w < best:
+                best = w
             return
-        explore(level + 1, acc, nonzero)
-        for c in range(1, p):
-            mv = multiples[level][c]
-            explore(level + 1, tuple((a + b) % p for a, b in zip(acc, mv)), True)
+        explore(level + 1, acc)
+        for mv in multiples[level][1:]:
+            explore(level + 1, tuple((a + b) % p for a, b in zip(acc, mv)))
 
-    explore(0, (0,) * ncols, False)
+    for lead in range(dim):
+        explore(lead + 1, multiples[lead][1])
     return best
 
 

@@ -1,5 +1,6 @@
 """Field arithmetic, primality, irreducible search, and wire encodings."""
 
+import random
 import sys
 from fractions import Fraction
 from itertools import product
@@ -255,6 +256,34 @@ class TestEncodings:
                "entries": ["1", too_long]}
         with pytest.raises(ValueError, match="^entry 1: integer has 3010301 digits"):
             matrix_from_json(obj)
+
+    def test_split_parse_equals_int(self):
+        rng = random.Random(5)
+        split = fields._SPLIT_DIGITS
+        for length in (1, split - 1, split, split + 1, 2 * split, 2 * split + 1,
+                       4 * split + 1, 5 * split + 3):
+            text = "".join(rng.choice("0123456789") for _ in range(length))
+            with fields._no_int_digit_limit():
+                expected = int(text)
+            assert decode_element(INTEGER_RING, text) == expected
+            assert decode_element(INTEGER_RING, "-" + text) == -expected
+        assert decode_element(INTEGER_RING, "0" * (3 * split) + "12") == 12
+
+    def test_million_digit_parse(self):
+        # str(x) of 10^6 digits is itself quadratic (seconds), so the parse
+        # is checked against a residue taken from the text in linear time
+        rng = random.Random(6)
+        text = "".join(f"{rng.randrange(10**18):018d}" for _ in range(55_556))
+        text = "7" + text[: 10**6 - 1]
+        value = decode_element(INTEGER_RING, text)
+        q = 2**61 - 1
+        residue = 0
+        for i in range(0, len(text), 18):
+            chunk = text[i : i + 18]
+            residue = (residue * 10 ** len(chunk) + int(chunk)) % q
+        assert value % q == residue
+        assert value % 10**18 == int(text[-18:])
+        assert 10 ** (10**6 - 1) < value < 10 ** 10**6
 
 
 class TestDescriptors:
