@@ -4,11 +4,17 @@
 Walks through every construction and check at small parameters and prints
 what it found: Sidon grids and their moduli, exact dimension measures of the
 hard instances, certified size bounds, the PSD pair invariants, dual-code
-kernel weights, and the amplification law pinned by the search oracle.
+kernel weights, the amplification law pinned by the search oracle, and the
+start-up time of the command-line front end.
 """
 
 import math
+import os
+import subprocess
+import sys
 import time
+
+import hardmat
 
 from hardmat.circuits import (
     CircuitFactorization,
@@ -40,8 +46,24 @@ def section(title):
     print(f"\n== {title}")
 
 
+def startup_seconds(repeats=5):
+    """Min wall time of ``python -m hardmat --help`` over fresh interpreters."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(hardmat.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    cmd = [sys.executable, "-m", "hardmat", "--help"]
+    times = []
+    for _ in range(repeats):
+        start = time.perf_counter()
+        subprocess.run(cmd, env=env, stdout=subprocess.DEVNULL, check=True)
+        times.append(time.perf_counter() - start)
+    return min(times)
+
+
 def main():
     t0 = time.time()
+
+    section("CLI start-up")
+    print(f"  python -m hardmat --help: {startup_seconds():.3f}s (min of 5)")
 
     section("Sidon grids (smallest prime witness per order)")
     for n, t in [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3)]:

@@ -12,58 +12,19 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
-from decimal import Decimal, localcontext
-
-from mpmath import mp
+from collections import namedtuple
 
 from . import __version__
 from .budgets import BudgetExceeded
-from .circuits import (
-    SlcParseError,
-    emit_slc,
-    min_depth2_sparsity,
-    parse_slc,
-    verify_factorization,
-)
-from .constructions import (
-    amplify_direct_sum,
-    hard_over_finite,
-    hard_over_integers,
-    quasipoly_hard,
-    trivial_hard,
-)
-from .fields import (
-    KIND_EXTENSION,
-    RATIONAL_FIELD,
-    decode_element,
-    descriptor_to_json,
-    encode_element,
-    prime_field,
-)
-from .hitting import (
-    RSParams,
-    build_hard_psd,
-    hit_inner,
-    min_kernel_weight,
-    refute_invertible,
-    refute_symmetric,
-    rs_generator,
-    vandermonde_vectors,
-)
-from .matrices import ExactMatrix, matrix_from_json, matrix_to_json
-from .sidon import construct_sidon, verify_tsum_distinct
-from .ssdim import bound_eval, certify_depth_d, gamma_t, sigma_t
-from .constructions import HardMatrixBundle
+
+# Each handler imports the layer functions it calls, so a call loads only the
+# modules its subcommand runs (and ``--help`` loads none of them).  Annotations
+# stay unevaluated strings, so they may name types of modules not yet loaded.
 
 __all__ = ["CommandResult", "dispatch", "read_matrix", "main"]
 
-
-@dataclass(frozen=True)
-class CommandResult:
-    exit_code: int  # 0 success, 1 domain error, 2 usage error, 3 budget
-    payload: dict | None
-    provenance: dict | None
+#: exit_code is 0 success, 1 domain error, 2 usage error, 3 budget.
+CommandResult = namedtuple("CommandResult", "exit_code payload provenance")
 
 
 def _read_text(source: str) -> str:
@@ -75,6 +36,8 @@ def _read_text(source: str) -> str:
 
 def read_matrix(source: str) -> ExactMatrix:
     """Load and fully validate a matrix from a path or stdin ('-')."""
+    from .matrices import matrix_from_json
+
     text = _read_text(source)
     try:
         obj = json.loads(text)
@@ -85,6 +48,10 @@ def read_matrix(source: str) -> ExactMatrix:
 
 def _format_bits(x) -> str:
     """Fixed-point decimal with exactly 12 fractional digits."""
+    from decimal import Decimal, localcontext
+
+    from mpmath import mp
+
     text = mp.nstr(x, 40)
     with localcontext() as ctx:
         d = Decimal(text)
@@ -93,6 +60,8 @@ def _format_bits(x) -> str:
 
 
 def _bundle_payload(bundle: HardMatrixBundle) -> dict:
+    from .matrices import matrix_to_json
+
     payload = {
         "provenance": {
             "construction": bundle.provenance,
@@ -104,6 +73,8 @@ def _bundle_payload(bundle: HardMatrixBundle) -> dict:
 
 
 def _verdict_payload(verdict) -> dict:
+    from .fields import RATIONAL_FIELD, encode_element
+
     payload = {"kind": verdict.kind, "bound": verdict.bound}
     if verdict.sparsity is not None:
         payload["sparsity"] = verdict.sparsity
@@ -120,19 +91,73 @@ def _verdict_payload(verdict) -> dict:
     return payload
 
 
+def _sidon_values(obj) -> list:
+    """Elements of a sidon payload's grid, or of a plain array.
+
+    Each element is a JSON integer or an ASCII decimal string; anything else
+    raises a ValueError that names its position, e.g. ``grid[1][0]``.
+    """
+    from .fields import INTEGER_RING, decode_element
+
+    def parse(items, path):
+        values = []
+        for j, x in enumerate(items):
+            if type(x) is int:  # a JSON integer; bool is not one
+                values.append(x)
+            elif isinstance(x, str):
+                try:
+                    values.append(decode_element(INTEGER_RING, x))
+                except ValueError as exc:
+                    raise ValueError(f"{path}[{j}]: {exc}") from None
+            else:
+                raise ValueError(
+                    f"{path}[{j}]: expected an integer or a decimal string, "
+                    f"got {json.dumps(x)}"
+                )
+        return values
+
+    if isinstance(obj, list):
+        return parse(obj, "array")
+    if not (isinstance(obj, dict) and "grid" in obj):
+        raise ValueError("expected a sidon JSON object or a plain array")
+    if not isinstance(obj["grid"], list):
+        raise ValueError("grid must be an array of rows")
+    values = []
+    for i, row in enumerate(obj["grid"]):
+        if not isinstance(row, list):
+            raise ValueError(f"grid[{i}] must be an array")
+        values += parse(row, f"grid[{i}]")
+    return values
+
+
+def _vector_flag(field, flag: str, text: str) -> list:
+    """Decode the JSON array of element encodings given to ``flag``."""
+    from .fields import decode_element
+
+    try:
+        raw = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{flag}: malformed JSON: {exc}") from None
+    if not isinstance(raw, list):
+        raise ValueError(f"{flag} must be a JSON array of element encodings")
+    vector = []
+    for i, x in enumerate(raw):
+        try:
+            vector.append(decode_element(field, x))
+        except ValueError as exc:
+            raise ValueError(f"{flag}[{i}]: {exc}") from None
+    return vector
+
+
 # --------------------------------------------------------------------------
 # Handlers.
 
 
 def _cmd_sidon(args) -> dict:
+    from .sidon import construct_sidon, verify_tsum_distinct
+
     if args.verify:
-        obj = json.loads(_read_text(args.input))
-        if isinstance(obj, dict) and "grid" in obj:
-            values = [int(x) for row in obj["grid"] for x in row]
-        elif isinstance(obj, list):
-            values = [int(x) for x in obj]
-        else:
-            raise ValueError("expected a sidon JSON object or a plain array")
+        values = _sidon_values(json.loads(_read_text(args.input)))
         return {"t": args.t, "distinct": verify_tsum_distinct(values, args.t)}
     if args.n is None:
         raise ValueError("--n is required unless --verify is given")
@@ -141,22 +166,33 @@ def _cmd_sidon(args) -> dict:
 
 
 def _cmd_hard_finite(args) -> dict:
+    from .constructions import hard_over_finite
+
     return _bundle_payload(hard_over_finite(args.p, args.n, args.t))
 
 
 def _cmd_hard_integers(args) -> dict:
+    from .constructions import hard_over_integers
+
     return _bundle_payload(hard_over_integers(args.n, args.t))
 
 
 def _cmd_hard_trivial(args) -> dict:
+    from .constructions import trivial_hard
+
     return _bundle_payload(trivial_hard(args.n))
 
 
 def _cmd_hard_quasipoly(args) -> dict:
+    from .constructions import quasipoly_hard
+
     return _bundle_payload(quasipoly_hard(args.n, args.c))
 
 
 def _cmd_hard_amplify(args) -> dict:
+    from .constructions import amplify_direct_sum
+    from .matrices import matrix_to_json
+
     matrix = read_matrix(args.input)
     result = amplify_direct_sum(matrix, args.m)
     payload = {
@@ -167,6 +203,9 @@ def _cmd_hard_amplify(args) -> dict:
 
 
 def _cmd_ssdim_gamma(args) -> dict:
+    from .fields import KIND_EXTENSION, descriptor_to_json, prime_field
+    from .ssdim import gamma_t
+
     matrix = read_matrix(args.input)
     if matrix.field.kind == KIND_EXTENSION:
         base = prime_field(matrix.field.p)
@@ -177,11 +216,15 @@ def _cmd_ssdim_gamma(args) -> dict:
 
 
 def _cmd_ssdim_sigma(args) -> dict:
+    from .ssdim import sigma_t
+
     matrix = read_matrix(args.input)
     return {"t": args.t, "value": sigma_t(matrix, args.t, budget=args.budget)}
 
 
 def _cmd_ssdim_bound(args) -> dict:
+    from .ssdim import bound_eval
+
     ev = bound_eval(args.s, args.d, args.t, args.n)
     return {
         "s": ev.s,
@@ -195,6 +238,8 @@ def _cmd_ssdim_bound(args) -> dict:
 
 
 def _cmd_ssdim_certify(args) -> dict:
+    from .ssdim import certify_depth_d
+
     return {
         "n": args.n,
         "d": args.d,
@@ -204,6 +249,8 @@ def _cmd_ssdim_certify(args) -> dict:
 
 
 def _cmd_hitting_vand(args) -> dict:
+    from .hitting import vandermonde_vectors
+
     hv = vandermonde_vectors(args.n, args.s)
     return {
         "n": hv.n,
@@ -213,24 +260,35 @@ def _cmd_hitting_vand(args) -> dict:
 
 
 def _cmd_hitting_rs(args) -> dict:
+    from .hitting import RSParams, rs_generator
+    from .matrices import matrix_to_json
+
     return matrix_to_json(rs_generator(RSParams(args.q, args.k)))
 
 
 def _cmd_hitting_kernelweight(args) -> dict:
+    from .hitting import min_kernel_weight
+
     matrix = read_matrix(args.input)
     weight = min_kernel_weight(matrix, budget=args.budget)
     return {"min_weight": weight, "kernel_is_zero": weight is None}
 
 
 def _cmd_hitting_hit(args) -> dict:
+    from .fields import encode_element
+    from .hitting import hit_inner
+
     matrix = read_matrix(args.input)
-    vec_a = [decode_element(matrix.field, x) for x in json.loads(args.a)]
-    vec_b = [decode_element(matrix.field, x) for x in json.loads(args.b)]
+    vec_a = _vector_flag(matrix.field, "--a", args.a)
+    vec_b = _vector_flag(matrix.field, "--b", args.b)
     value = hit_inner(matrix, vec_a, vec_b)
     return {"value": encode_element(matrix.field, value)}
 
 
 def _cmd_psd_build(args) -> dict:
+    from .hitting import build_hard_psd
+    from .matrices import matrix_to_json
+
     pair = build_hard_psd(args.n)
     return {
         "n": pair.n,
@@ -241,12 +299,16 @@ def _cmd_psd_build(args) -> dict:
 
 
 def _cmd_psd_refute_sym(args) -> dict:
+    from .hitting import build_hard_psd, refute_symmetric
+
     pair = build_hard_psd(args.n)
     b = read_matrix(args.b)
     return _verdict_payload(refute_symmetric(b, pair))
 
 
 def _cmd_psd_refute_inv(args) -> dict:
+    from .hitting import build_hard_psd, refute_invertible
+
     pair = build_hard_psd(args.n)
     b = read_matrix(args.b)
     c = read_matrix(args.c)
@@ -254,6 +316,9 @@ def _cmd_psd_refute_inv(args) -> dict:
 
 
 def _cmd_circuit_parse(args) -> dict:
+    from .circuits import parse_slc
+    from .fields import descriptor_to_json
+
     circuit = parse_slc(_read_text(args.input))
     return {
         "field": descriptor_to_json(circuit.field),
@@ -264,6 +329,8 @@ def _cmd_circuit_parse(args) -> dict:
 
 
 def _cmd_circuit_verify(args) -> dict:
+    from .circuits import parse_slc, verify_factorization
+
     target = read_matrix(args.target)
     circuit = parse_slc(_read_text(args.circuit))
     result = verify_factorization(circuit, target)
@@ -274,6 +341,8 @@ def _cmd_circuit_verify(args) -> dict:
 
 
 def _cmd_circuit_emit(args) -> dict:
+    from .circuits import emit_slc, parse_slc
+
     circuit = parse_slc(_read_text(args.input))
     text = emit_slc(circuit)
     if args.out:
@@ -283,6 +352,8 @@ def _cmd_circuit_emit(args) -> dict:
 
 
 def _cmd_search(args) -> dict:
+    from .circuits import emit_slc, min_depth2_sparsity
+
     matrix = read_matrix(args.input)
     result = min_depth2_sparsity(
         matrix, m_max=args.m_max, s_max=args.s_max, budget=args.budget
@@ -299,6 +370,19 @@ def _cmd_search(args) -> dict:
 
 # --------------------------------------------------------------------------
 # Parser wiring.
+
+
+def _finite_float(text: str) -> float:
+    """argparse type: a float that is neither infinite nor NaN."""
+    from math import isfinite
+
+    try:
+        value = float(text)
+    except ValueError:
+        value = None
+    if value is None or not isfinite(value):
+        raise argparse.ArgumentTypeError(f"invalid finite float value: {text!r}")
+    return value
 
 
 def _add_input(sub, help_text="matrix JSON path, or - for stdin"):
@@ -337,7 +421,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_hard_trivial, operation="hard trivial")
     p = hard_sub.add_parser("quasipoly", help="block-diagonal amplification")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--c", type=float, required=True)
+    p.add_argument("--c", type=_finite_float, required=True)
     p.set_defaults(handler=_cmd_hard_quasipoly, operation="hard quasipoly")
     p = hard_sub.add_parser("amplify", help="I_m (x) A for a given matrix A")
     p.add_argument("--m", type=int, required=True)
@@ -459,23 +543,14 @@ def dispatch(argv=None) -> CommandResult:
         return CommandResult(
             3, {"error": {"type": "budget", "message": str(exc)}}, provenance
         )
-    except SlcParseError as exc:
-        return CommandResult(
-            1,
-            {
-                "error": {
-                    "type": "parse",
-                    "message": str(exc),
-                    "line": exc.line,
-                    "column": exc.column,
-                }
-            },
-            provenance,
-        )
     except (ValueError, ZeroDivisionError, OSError, KeyError) as exc:
-        return CommandResult(
-            1, {"error": {"type": "domain", "message": str(exc)}}, provenance
-        )
+        error = {"type": "domain", "message": str(exc)}
+        if isinstance(exc, ValueError):
+            from .circuits import SlcParseError
+
+            if isinstance(exc, SlcParseError):
+                error.update(type="parse", line=exc.line, column=exc.column)
+        return CommandResult(1, {"error": error}, provenance)
     return CommandResult(0, payload, provenance)
 
 

@@ -10,7 +10,7 @@ deterministic and rebuildable from the recorded parameters alone.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import ceil, log2
+from math import ceil, isfinite, log2
 
 from .budgets import (
     IRREDUCIBLE_SCAN_BUDGET,
@@ -144,15 +144,23 @@ def quasipoly_hard(n: int, c: float, cap: int = TRIVIAL_HARD_CAP) -> HardMatrixB
 
     The block side k is the smallest divisor of n with
     ceil(log2(n)^c) <= k <= 2*ceil(log2(n)^c); the result is I_(n/k) (x) M_k
-    where (M_k)[i][j] = 2^(2^((k+1)(i-1)+j)).
+    where (M_k)[i][j] = 2^(2^((k+1)(i-1)+j)).  c must be finite and positive;
+    a c for which log2(n)^c overflows a float raises ValueError.
     """
     if n < 2:
         raise ValueError("n must be at least 2")
+    if not isfinite(c):
+        raise ValueError(f"c must be finite, got {c}")
     if c <= 0:
         raise ValueError("c must be positive")
-    target = ceil(log2(n) ** c)
+    try:
+        target = ceil(log2(n) ** c)
+    except OverflowError:
+        raise ValueError(
+            f"c={c} is too large: log2({n})^c overflows a float"
+        ) from None
     k = next(
-        (d for d in range(target, 2 * target + 1) if d <= n and n % d == 0), None
+        (d for d in range(target, min(2 * target, n) + 1) if n % d == 0), None
     )
     if k is None:
         raise ValueError(

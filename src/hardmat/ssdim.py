@@ -12,7 +12,8 @@ A matrix that factors into d sparse layers of total sparsity s has
 log2 gamma_t at most d*t*(log2 e + log2(2s/(d*t))); matrices built from
 Sidon exponent grids meet t*log2(n^2/t) from below.  Comparing the two in
 log space certifies a concrete size bound for every depth-d factorization.
-Bound arithmetic runs at 128-bit mantissa precision.
+Bound arithmetic runs at 128-bit mantissa precision in mpmath, which is
+imported only by the functions that need it.
 """
 
 from __future__ import annotations
@@ -20,8 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
-
-from mpmath import mp, mpf
 
 from .budgets import SIGMA_VALUE_CAP, BudgetExceeded, enumeration_budget
 from .fields import (
@@ -143,15 +142,21 @@ def sigma_t(
 
 
 def _log2(x) -> mpf:
+    from mpmath import mp
+
     return mp.log(x) / mp.log(2)
 
 
 def _log2_gamma_upper(s: int, d: int, t: int) -> mpf:
+    from mpmath import mp, mpf
+
     # log2 of (e^d * (2s/(dt))^d)^t
     return d * t * (1 / mp.log(2) + _log2(mpf(2 * s) / (d * t)))
 
 
 def _log2_gamma_lower(t: int, n: int) -> mpf:
+    from mpmath import mpf
+
     # log2 of (n^2/t)^t
     return t * _log2(mpf(n * n) / t)
 
@@ -178,6 +183,8 @@ def bound_eval(s: int, d: int, t: int, n: int) -> BoundEvaluation:
         raise ValueError(
             f"the sigma bound requires s <= d*n^2, got s={s} > {d * n * n}"
         )
+    from mpmath import mp, mpf
+
     with mp.workprec(WORKING_PRECISION):
         g_up = _log2_gamma_upper(s, d, t)
         s_up = 2 * mpf(n) ** 3 * mp.power(2, g_up)
@@ -193,6 +200,8 @@ def certify_depth_d(n: int, d: int, t: int) -> int:
     binary search in log space; raises if even s = d*t fails.
     """
     _check_bound_params(d * t, d, t, n)
+    from mpmath import mp
+
     with mp.workprec(WORKING_PRECISION):
         lower = _log2_gamma_lower(t, n)
         lo = d * t

@@ -39,6 +39,28 @@ class TestSidonCommand:
         result = run(["sidon", "--verify", "--t", "2"], "[1, 2, 3, 4]", monkeypatch)
         assert result.payload == {"t": 2, "distinct": False}
 
+    def test_verify_accepts_decimal_strings(self, monkeypatch):
+        result = run(["sidon", "--verify", "--t", "2"], '["1", "2", 4, "8"]', monkeypatch)
+        assert result.payload == {"t": 2, "distinct": True}
+
+    @pytest.mark.parametrize(
+        "blob, where",
+        [
+            ("[1, 2.9, 4]", "array[1]"),  # was truncated to 2
+            ("[true, 2, 4]", "array[0]"),  # was taken as 1
+            ('["\u0663", 1, 2]', "array[0]"),  # ARABIC-INDIC DIGIT THREE, was 3
+            ("[1e400, 2]", "array[0]"),  # was an OverflowError traceback
+            ('{"grid": [[1, 2], [4.0, 3]]}', "grid[1][0]"),
+            ('{"grid": [[1, 2], 3]}', "grid[1]"),
+            ('{"grid": 5}', "grid"),  # was a TypeError traceback
+        ],
+    )
+    def test_verify_rejects_non_integers(self, monkeypatch, blob, where):
+        result = run(["sidon", "--verify", "--t", "1"], blob, monkeypatch)
+        assert result.exit_code == 1
+        assert result.payload["error"]["type"] == "domain"
+        assert result.payload["error"]["message"].startswith(where)
+
     def test_budget_exit_code(self):
         result = dispatch(["sidon", "--n", "3", "--t", "2", "--prime-budget", "20"])
         assert result.exit_code == 3
@@ -136,6 +158,20 @@ class TestHardPipelines:
         assert result.exit_code == 0
         assert result.payload["provenance"]["parameters"]["k"] == 2
 
+    @pytest.mark.parametrize("c", ["50", "1000"])
+    def test_quasipoly_large_c_is_domain_error(self, c):
+        # --c 50 used to scan ~4e20 candidates, --c 1000 to overflow a float
+        result = dispatch(["hard", "quasipoly", "--n", "6", "--c", c])
+        assert result.exit_code == 1
+        assert result.payload["error"]["type"] == "domain"
+
+    @pytest.mark.parametrize("c", ["inf", "-inf", "nan", "abc"])
+    def test_quasipoly_non_finite_c_is_usage_error(self, c, capsys):
+        assert main(["hard", "quasipoly", "--n", "6", f"--c={c}"]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert "invalid finite float value" in out.err
+
     def test_trivial_at_its_cap(self):
         # entries up to 2^(2^19), 157,827 digits: past the int/str digit limit
         built = dispatch(["hard", "trivial", "--n", "4"])
@@ -193,6 +229,17 @@ class TestHittingCommands:
             monkeypatch,
         )
         assert result.payload == {"value": "1"}
+
+    @pytest.mark.parametrize(
+        "a, b, flag",
+        [("5", '["1","0"]', "--a"), ('["1","0"]', '{"x": 1}', "--b"), ("[1", "[]", "--a")],
+    )
+    def test_hit_rejects_a_non_array_flag(self, monkeypatch, a, b, flag):
+        blob = json.dumps(matrix_to_json(identity(prime_field(5), 2)))
+        result = run(["hitting", "hit", "--a", a, "--b", b], blob, monkeypatch)
+        assert result.exit_code == 1
+        assert result.payload["error"]["type"] == "domain"
+        assert result.payload["error"]["message"].startswith(flag)
 
 
 class TestPsdCommands:
@@ -352,3 +399,62 @@ class TestReadMatrix:
         out = capsys.readouterr()
         assert json.loads(out.out) == {"n": 2, "t": 1, "p": 5, "grid": [[1, 2], [4, 3]]}
         assert json.loads(out.err)["operation"] == "sidon"
+
+
+class TestImportFootprint:
+    """Each subcommand imports only the modules it runs."""
+
+    LAYERS = {
+        "hardmat.circuits",
+        "hardmat.constructions",
+        "hardmat.fields",
+        "hardmat.fppoly",
+        "hardmat.hitting",
+        "hardmat.matrices",
+        "hardmat.sidon",
+        "hardmat.ssdim",
+    }
+    SCRIPT = (
+        "import contextlib, io, json, sys\n"
+        "from hardmat.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()), "
+        "contextlib.redirect_stderr(io.StringIO()):\n"
+        "    try:\n"
+        "        code = main(sys.argv[1:])\n"
+        "    except SystemExit as exc:\n"
+        "        code = exc.code\n"
+        "print(json.dumps({'code': code, 'modules': sorted(sys.modules)}))\n"
+    )
+
+    def loaded(self, argv, stdin_text=""):
+        out = subprocess.run(
+            [sys.executable, "-c", self.SCRIPT, *argv],
+            input=stdin_text,
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        result = json.loads(out.stdout)
+        assert result["code"] == 0
+        return set(result["modules"])
+
+    def test_help_loads_no_layer_and_no_mpmath(self):
+        modules = self.loaded(["--help"])
+        assert not modules & self.LAYERS
+        assert "mpmath" not in modules
+
+    def test_sidon_loads_no_mpmath(self):
+        modules = self.loaded(["sidon", "--n", "2", "--t", "1"])
+        assert "hardmat.sidon" in modules
+        assert "mpmath" not in modules
+        assert "hardmat.ssdim" not in modules
+
+    def test_gamma_loads_no_mpmath(self):
+        blob = json.dumps(matrix_to_json(identity(prime_field(5), 2)))
+        modules = self.loaded(["ssdim", "gamma", "--t", "1"], blob)
+        assert "hardmat.ssdim" in modules
+        assert "mpmath" not in modules
+
+    def test_certify_loads_mpmath(self):
+        modules = self.loaded(["ssdim", "certify", "--n", "1000", "--d", "2", "--t", "100"])
+        assert "mpmath" in modules

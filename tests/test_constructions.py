@@ -1,5 +1,8 @@
 """Hard-matrix constructions: exponent grids, instantiations, amplification."""
 
+import re
+from math import ceil, log2
+
 import pytest
 
 from hardmat.budgets import BudgetExceeded
@@ -159,6 +162,38 @@ class TestQuasipoly:
     def test_block_cap_propagates(self):
         with pytest.raises(BudgetExceeded):
             quasipoly_hard(25, 2.0)  # k = 5 exceeds the doubly-exponential cap
+
+    def test_large_c_returns_at_once(self):
+        # log2(6)^50 ~ 4.2e20: the window lies past n, so nothing is scanned
+        with pytest.raises(ValueError, match=r"no divisor of 6 lies in \[4194"):
+            quasipoly_hard(6, 50.0)
+
+    def test_overflowing_c_is_a_located_value_error(self):
+        with pytest.raises(ValueError, match=r"c=1000.0 is too large"):
+            quasipoly_hard(6, 1000.0)
+
+    @pytest.mark.parametrize("c", [float("inf"), float("-inf"), float("nan")])
+    def test_non_finite_c(self, c):
+        with pytest.raises(ValueError, match="c must be finite"):
+            quasipoly_hard(6, c)
+
+    def test_clipped_window_keeps_every_block_side(self):
+        def seed_block_side(n, c):  # the unclipped scan
+            target = ceil(log2(n) ** c)
+            window = range(target, 2 * target + 1)
+            return next((d for d in window if d <= n and n % d == 0), None)
+
+        def block_side(n, c):
+            try:
+                return quasipoly_hard(n, c).parameters["k"]
+            except BudgetExceeded as exc:  # built past the cap: k is named
+                return int(re.match(r"n=(\d+) exceeds", str(exc)).group(1))
+            except ValueError:
+                return None
+
+        for n in range(2, 65):
+            for c in (0.25, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0):
+                assert block_side(n, c) == seed_block_side(n, c), (n, c)
 
 
 class TestRebuild:
