@@ -46,15 +46,17 @@ def section(title):
     print(f"\n== {title}")
 
 
-def startup_seconds(repeats=5):
-    """Min wall time of ``python -m hardmat --help`` over fresh interpreters."""
+def startup_seconds(args, repeats=5):
+    """Min wall time of ``python -m hardmat <args>`` over fresh interpreters."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(hardmat.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
-    cmd = [sys.executable, "-m", "hardmat", "--help"]
+    cmd = [sys.executable, "-m", "hardmat", *args.split()]
     times = []
     for _ in range(repeats):
         start = time.perf_counter()
-        subprocess.run(cmd, env=env, stdout=subprocess.DEVNULL, check=True)
+        subprocess.run(
+            cmd, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, check=True
+        )
         times.append(time.perf_counter() - start)
     return min(times)
 
@@ -63,7 +65,8 @@ def main():
     t0 = time.time()
 
     section("CLI start-up")
-    print(f"  python -m hardmat --help: {startup_seconds():.3f}s (min of 5)")
+    for args in ("--help", "sidon --n 2 --t 1", "psd build --n 2"):
+        print(f"  python -m hardmat {args}: {startup_seconds(args):.3f}s (min of 5)")
 
     section("Sidon grids (smallest prime witness per order)")
     for n, t in [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3)]:

@@ -26,11 +26,10 @@ part of the contract.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from itertools import combinations, product
 from math import comb
 
-from .budgets import BudgetExceeded, enumeration_budget
+from .budgets import BudgetExceeded, Record, enumeration_budget
 from .fields import (
     INTEGER_RING,
     KIND_EXTENSION,
@@ -58,8 +57,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class CircuitFactorization:
+class CircuitFactorization(Record):
     field: FieldDescriptor
     factors: tuple[ExactMatrix, ...]
 
@@ -87,16 +85,14 @@ class CircuitFactorization:
         return sum(sparsity(f).total for f in self.factors)
 
 
-@dataclass(frozen=True)
-class VerificationResult:
+class VerificationResult(Record):
     equal: bool
     size: int
     product: ExactMatrix
     mismatch: tuple[int, int] | None  # first differing entry, 1-based
 
 
-@dataclass(frozen=True)
-class SearchResult:
+class SearchResult(Record):
     s_min: int | None  # None: no factorization of size <= s_max exists
     witness: CircuitFactorization | None
     nodes: int

@@ -15,10 +15,10 @@ import sys
 from collections import namedtuple
 
 from . import __version__
-from .budgets import BudgetExceeded
 
 # Each handler imports the layer functions it calls, so a call loads only the
-# modules its subcommand runs (and ``--help`` loads none of them).  Annotations
+# modules its subcommand runs (and ``--help`` loads none of them, nor
+# ``budgets``: dispatch imports it after parsing).  Annotations
 # stay unevaluated strings, so they may name types of modules not yet loaded.
 
 __all__ = ["CommandResult", "dispatch", "read_matrix", "main"]
@@ -527,6 +527,8 @@ def dispatch(argv=None) -> CommandResult:
     except SystemExit as exc:
         code = exc.code if isinstance(exc.code, int) else 2
         return CommandResult(0 if code == 0 else 2, None, None)
+    from .budgets import BudgetExceeded
+
     params = {
         k: v
         for k, v in sorted(vars(args).items())

@@ -9,7 +9,6 @@ deterministic and rebuildable from the recorded parameters alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import ceil, isfinite, log2
 
 from .budgets import (
@@ -18,6 +17,7 @@ from .budgets import (
     SIDON_PRIME_BUDGET,
     TRIVIAL_HARD_CAP,
     BudgetExceeded,
+    Record,
 )
 from .fields import INTEGER_RING, extension_field, find_irreducible
 from .matrices import ExactMatrix, identity, kronecker
@@ -36,8 +36,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ExponentMatrix:
+class ExponentMatrix(Record):
     """Exponent grid e[i][j] of the univariate construction y^e[i][j]."""
 
     n: int
@@ -47,8 +46,7 @@ class ExponentMatrix:
     source: SidonSet
 
 
-@dataclass(frozen=True)
-class HardMatrixBundle:
+class HardMatrixBundle(Record):
     matrix: ExactMatrix
     provenance: str  # finite-field | integer | trivial | quasipoly
     parameters: dict
@@ -163,9 +161,11 @@ def quasipoly_hard(n: int, c: float, cap: int = TRIVIAL_HARD_CAP) -> HardMatrixB
         (d for d in range(target, min(2 * target, n) + 1) if n % d == 0), None
     )
     if k is None:
-        raise ValueError(
-            f"no divisor of {n} lies in [{target}, {2 * target}]"
-        )
+        window = f"[{target}, {2 * target}]"
+        if target > n:  # then target can have hundreds of digits
+            formula = f"ceil(log2({n})^{c})"
+            window = f"[{formula}, 2*{formula}]"
+        raise ValueError(f"no divisor of {n} lies in {window}")
     block = trivial_hard(k, cap=cap).matrix
     matrix = amplify_direct_sum(block, n // k)
     return HardMatrixBundle(matrix, "quasipoly", {"n": n, "c": c, "k": k})

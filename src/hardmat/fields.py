@@ -18,18 +18,14 @@ from __future__ import annotations
 
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import log10
 
-from . import fppoly
-from .budgets import (
-    IRREDUCIBLE_SCAN_BUDGET,
-    MAX_EXPONENT_BITS,
-    PRIMALITY_BOUND,
-    BudgetExceeded,
-)
+from .budgets import IRREDUCIBLE_SCAN_BUDGET, MAX_EXPONENT_BITS, Record, is_prime
+
+# ``fppoly`` is imported only where an extension field is used, so calls over
+# prime fields, Q and Z do not load it.
 
 __all__ = [
     "KIND_PRIME",
@@ -61,30 +57,7 @@ KIND_INTEGER = "integer-ring"
 _KINDS = (KIND_PRIME, KIND_EXTENSION, KIND_RATIONAL, KIND_INTEGER)
 
 
-def is_prime(n: int, bound: int = PRIMALITY_BOUND) -> bool:
-    """Deterministic primality by trial division.
-
-    Inputs above ``bound`` are rejected with BudgetExceeded rather than
-    answered probabilistically.
-    """
-    if n < 0:
-        raise ValueError("primality is defined for nonnegative integers")
-    if n > bound:
-        raise BudgetExceeded(f"{n} exceeds the trial-division bound {bound}")
-    if n < 2:
-        return False
-    if n % 2 == 0:
-        return n == 2
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
-
-
-@dataclass(frozen=True)
-class FieldDescriptor:
+class FieldDescriptor(Record):
     """Names a coefficient domain; hashable, so ops are cached per descriptor."""
 
     kind: str
@@ -117,6 +90,9 @@ class FieldDescriptor:
         if mod[-1] != 1:
             raise ValueError("modulus must be monic")
 
+    def __hash__(self):  # the Record hash, inlined: ops_for hashes per element
+        return hash((self.kind, self.p, self.modulus))
+
     @property
     def degree(self) -> int | None:
         return None if self.modulus is None else len(self.modulus) - 1
@@ -125,6 +101,8 @@ class FieldDescriptor:
         """Check the extension invariant (g irreducible over F_p)."""
         if self.kind != KIND_EXTENSION:
             raise ValueError("only extension fields carry a modulus")
+        from . import fppoly
+
         return fppoly.is_irreducible(self.modulus, self.p)
 
     def __repr__(self) -> str:  # keep reprs short for big moduli
@@ -136,7 +114,7 @@ class FieldDescriptor:
 
 
 def prime_field(p: int) -> FieldDescriptor:
-    return FieldDescriptor(KIND_PRIME, p)
+    return FieldDescriptor(KIND_PRIME, p, None)  # every field given: no default lookup
 
 
 def extension_field(p: int, modulus) -> FieldDescriptor:
@@ -159,6 +137,8 @@ def find_irreducible(
     """
     if not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
+    from . import fppoly
+
     return fppoly.find_irreducible_coeffs(p, d, scan_budget)
 
 
@@ -206,12 +186,17 @@ class _ExtensionOps:
     has_division = True
 
     def __init__(self, field: FieldDescriptor):
+        from .fppoly import inverse_mod, mod_monic, mul
+
         self.field = field
         self.p = field.p
         self.modulus = field.modulus
         self.degree = field.degree
         self.zero = (0,) * self.degree
         self.one = self._pad((1 % self.p,))
+        self._mul = mul
+        self._mod_monic = mod_monic
+        self._inverse_mod = inverse_mod
 
     def _pad(self, t: tuple) -> tuple:
         return t + (0,) * (self.degree - len(t))
@@ -229,11 +214,11 @@ class _ExtensionOps:
         return tuple((-x) % p for x in a)
 
     def mul(self, a, b):
-        prod = fppoly.mul(a, b, self.p)
-        return self._pad(fppoly.mod_monic(prod, self.modulus, self.p))
+        prod = self._mul(a, b, self.p)
+        return self._pad(self._mod_monic(prod, self.modulus, self.p))
 
     def div(self, a, b):
-        inv = fppoly.inverse_mod(b, self.modulus, self.p)
+        inv = self._inverse_mod(b, self.modulus, self.p)
         return self.mul(a, inv)
 
     def is_zero(self, a) -> bool:
@@ -330,7 +315,7 @@ def extension_generator(field: FieldDescriptor) -> tuple:
     if field.kind != KIND_EXTENSION:
         raise ValueError("generator is defined for extension fields only")
     ops = ops_for(field)
-    return ops._pad(fppoly.mod_monic((0, 1), field.modulus, field.p))
+    return ops._pad(ops._mod_monic((0, 1), field.modulus, field.p))
 
 
 def power(field: FieldDescriptor, x, e: int):
@@ -406,6 +391,14 @@ def _parse_decimal(raw: str, to_int=int) -> int:
 
 
 def encode_element(field: FieldDescriptor, x):
+    """Wire encoding of one element; raises ValueError if x does not conform.
+
+    On the integer ring this is ``str(x)``, which CPython 3.11 computes in
+    time quadratic in the digit count: a 10^6-digit entry takes ~17 s, and one
+    near the 2^MAX_EXPONENT_BITS cap (3,010,300 digits) minutes.  Under the
+    default Sidon prime budget an integer construction's entries stay below
+    2^(10^6) (301,030 digits, ~1.8 s to print).
+    """
     ops = ops_for(field)
     if not ops.conforms(x):
         raise ValueError(f"element does not conform to {field!r}")

@@ -13,18 +13,16 @@ in closed form from Lagrange basis polynomials and checked in integers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, lcm
 from operator import mul
 
-from .budgets import PSD_MAX_N, BudgetExceeded, enumeration_budget
+from .budgets import PSD_MAX_N, BudgetExceeded, Record, enumeration_budget, is_prime
 from .fields import (
     KIND_PRIME,
     KIND_RATIONAL,
     RATIONAL_FIELD,
     FieldDescriptor,
-    is_prime,
     ops_for,
     prime_field,
 )
@@ -63,8 +61,7 @@ SIDE_LEFT = "left-invertible"
 SIDE_RIGHT = "right-invertible"
 
 
-@dataclass(frozen=True)
-class HittingVectors:
+class HittingVectors(Record):
     """Probe vectors defeating nonzero rows with at most s nonzeros."""
 
     field: FieldDescriptor
@@ -73,8 +70,7 @@ class HittingVectors:
     vectors: tuple[tuple, ...]
 
 
-@dataclass(frozen=True)
-class RSParams:
+class RSParams(Record):
     q: int
     k: int
 
@@ -85,8 +81,7 @@ class RSParams:
             raise ValueError(f"k must lie in [1, {self.q - 1}], got {self.k}")
 
 
-@dataclass(frozen=True)
-class PsdPair:
+class PsdPair(Record):
     """Hard PSD instance: m = mtilde^T mtilde, rank n/2, first n/2 probes killed."""
 
     n: int
@@ -95,8 +90,7 @@ class PsdPair:
     probes: HittingVectors
 
 
-@dataclass(frozen=True)
-class RefutationVerdict:
+class RefutationVerdict(Record):
     """Outcome of a refutation check.  Witness coordinates are 1-based.
 
     Kinds: not-a-factorization / product-mismatch (witness_entry),
@@ -214,7 +208,7 @@ def hit_inner(M: ExactMatrix, a, b):
     return matmul(from_rows(M.field, [a]), matmul(M, column)).entries[0]
 
 
-# The rank certificate's prime: below the trial-division bound, so cheap.
+# The rank certificate's prime: small residues keep the elimination mod p cheap.
 _RANK_PRIME = 2**31 - 1
 
 

@@ -10,9 +10,9 @@ bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import lcm
 
+from .budgets import Record
 from .fields import (
     KIND_INTEGER,
     KIND_PRIME,
@@ -49,8 +49,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ExactMatrix:
+class ExactMatrix(Record):
     field: FieldDescriptor
     rows: int
     cols: int
@@ -87,8 +86,7 @@ class ExactMatrix:
         return [list(self.row(i)) for i in range(self.rows)]
 
 
-@dataclass(frozen=True)
-class SparsityReport:
+class SparsityReport(Record):
     total: int
     row_counts: tuple[int, ...]
     col_counts: tuple[int, ...]

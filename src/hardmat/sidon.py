@@ -10,18 +10,15 @@ e[i][j] = 2^((i-1)n + (j-1)) mod p.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 
-from .budgets import SIDON_PRIME_BUDGET, SIDON_SUM_CAP, BudgetExceeded
-from .fields import is_prime
+from .budgets import SIDON_PRIME_BUDGET, SIDON_SUM_CAP, BudgetExceeded, Record, is_prime
 
 __all__ = ["SidonSet", "construct_sidon", "verify_tsum_distinct"]
 
 
-@dataclass(frozen=True)
-class SidonSet:
+class SidonSet(Record):
     n: int
     t: int
     p: int

@@ -18,11 +18,10 @@ imported only by the functions that need it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 
-from .budgets import SIGMA_VALUE_CAP, BudgetExceeded, enumeration_budget
+from .budgets import SIGMA_VALUE_CAP, BudgetExceeded, Record, enumeration_budget
 from .fields import (
     KIND_EXTENSION,
     KIND_INTEGER,
@@ -48,8 +47,7 @@ __all__ = [
 WORKING_PRECISION = 128
 
 
-@dataclass(frozen=True)
-class ProductFamily:
+class ProductFamily(Record):
     """All t-wise products of matrix entries at distinct positions."""
 
     t: int
@@ -60,8 +58,7 @@ class ProductFamily:
         return tuple(dict.fromkeys(self.values))
 
 
-@dataclass(frozen=True)
-class BoundEvaluation:
+class BoundEvaluation(Record):
     s: int
     d: int
     t: int

@@ -9,7 +9,7 @@ import pytest
 
 from hardmat.cli import dispatch, main, read_matrix
 from hardmat.constructions import trivial_hard
-from hardmat.fields import prime_field
+from hardmat.fields import extension_field, prime_field
 from hardmat.matrices import identity, matrix_from_json, matrix_to_json
 
 
@@ -442,6 +442,34 @@ class TestImportFootprint:
         modules = self.loaded(["--help"])
         assert not modules & self.LAYERS
         assert "mpmath" not in modules
+        assert "hardmat.budgets" not in modules
+
+    def test_sidon_loads_neither_fields_nor_fppoly(self):
+        modules = self.loaded(["sidon", "--n", "2", "--t", "1"])
+        assert "hardmat.sidon" in modules
+        assert not modules & {"hardmat.fields", "hardmat.fppoly", "dataclasses"}
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["psd", "build", "--n", "2"], ["hitting", "rs", "--q", "5", "--k", "2"]],
+    )
+    def test_prime_and_rational_calls_load_no_fppoly(self, argv):
+        modules = self.loaded(argv)
+        assert "hardmat.fields" in modules
+        assert not modules & {"hardmat.fppoly", "dataclasses"}
+
+    def test_search_over_f2_loads_no_fppoly(self):
+        blob = json.dumps(matrix_to_json(identity(prime_field(2), 2)))
+        modules = self.loaded(["search", "--s-max", "4"], blob)
+        assert "hardmat.circuits" in modules
+        assert not modules & {"hardmat.fppoly", "dataclasses"}
+
+    def test_gamma_over_an_extension_loads_fppoly(self):
+        gf4 = extension_field(2, (1, 1, 1))
+        blob = json.dumps(matrix_to_json(identity(gf4, 2)))
+        modules = self.loaded(["ssdim", "gamma", "--t", "1"], blob)
+        assert "hardmat.fppoly" in modules
+        assert "dataclasses" not in modules
 
     def test_sidon_loads_no_mpmath(self):
         modules = self.loaded(["sidon", "--n", "2", "--t", "1"])
@@ -453,8 +481,9 @@ class TestImportFootprint:
         blob = json.dumps(matrix_to_json(identity(prime_field(5), 2)))
         modules = self.loaded(["ssdim", "gamma", "--t", "1"], blob)
         assert "hardmat.ssdim" in modules
-        assert "mpmath" not in modules
+        assert not modules & {"mpmath", "hardmat.fppoly", "dataclasses"}
 
     def test_certify_loads_mpmath(self):
         modules = self.loaded(["ssdim", "certify", "--n", "1000", "--d", "2", "--t", "100"])
         assert "mpmath" in modules
+        assert "dataclasses" not in modules

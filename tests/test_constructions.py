@@ -156,7 +156,7 @@ class TestQuasipoly:
         assert (b.matrix.rows, b.matrix.cols) == (6, 6)
 
     def test_no_admissible_divisor(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^no divisor of 7 lies in \[3, 6\]$"):
             quasipoly_hard(7, 1.0)  # divisors 1 and 7; window is [3, 6]
 
     def test_block_cap_propagates(self):
@@ -165,8 +165,20 @@ class TestQuasipoly:
 
     def test_large_c_returns_at_once(self):
         # log2(6)^50 ~ 4.2e20: the window lies past n, so nothing is scanned
-        with pytest.raises(ValueError, match=r"no divisor of 6 lies in \[4194"):
+        with pytest.raises(
+            ValueError,
+            match=r"^no divisor of 6 lies in \[ceil\(log2\(6\)\^50.0\), "
+            r"2\*ceil\(log2\(6\)\^50.0\)\]$",
+        ):
             quasipoly_hard(6, 50.0)
+
+    def test_window_past_n_is_named_by_formula(self):
+        # log2(3)^1000 has ~200 digits; the message names it, not its value
+        with pytest.raises(ValueError) as info:
+            quasipoly_hard(3, 1000.0)
+        assert str(info.value) == (
+            "no divisor of 3 lies in [ceil(log2(3)^1000.0), 2*ceil(log2(3)^1000.0)]"
+        )
 
     def test_overflowing_c_is_a_located_value_error(self):
         with pytest.raises(ValueError, match=r"c=1000.0 is too large"):

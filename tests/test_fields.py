@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hardmat import fields, fppoly
-from hardmat.budgets import BudgetExceeded
+from hardmat.budgets import PRIMALITY_BOUND, BudgetExceeded
 from hardmat.fields import (
     INTEGER_RING,
     RATIONAL_FIELD,
@@ -122,6 +122,68 @@ class TestIsPrime:
     def test_beyond_bound_rejected_not_guessed(self):
         with pytest.raises(BudgetExceeded):
             is_prime(10**13, bound=10**12)
+
+    def test_bound_is_psi13_minus_one(self):
+        psi13 = 3_317_044_064_679_887_385_961_981
+        assert PRIMALITY_BOUND == psi13 - 1
+        assert not is_prime(psi13 - 1)  # even: decided at the bound
+        for bound in (PRIMALITY_BOUND, 10**30):  # a larger bound is clipped
+            with pytest.raises(BudgetExceeded, match=f"exceeds the primality bound {psi13 - 1}$"):
+                is_prime(psi13, bound=bound)
+
+    def test_decides_past_the_old_trial_division_bound(self):
+        assert is_prime(10**12 + 39)
+        assert prime_field(10**12 + 39).p == 10**12 + 39
+        assert not is_prime((10**12 + 39) * (10**12 + 61))
+
+    def test_strong_pseudoprimes_are_composite(self):
+        # psi_1 .. psi_12: the least strong pseudoprimes to the first k prime
+        # bases (psi_9 = psi_10 = psi_11); psi_12 passes every base but 41
+        psis = [
+            2047, 1373653, 25326001, 3215031751, 2152302898747, 3474749660383,
+            341550071728321, 3825123056546413051, 318665857834031151167461,
+        ]
+        assert not any(is_prime(n) for n in psis)
+
+    def test_matches_trial_division_below_1e5(self):
+        def trial_division(n):  # the seed's primality test
+            if n < 2:
+                return False
+            if n % 2 == 0:
+                return n == 2
+            d = 3
+            while d * d <= n:
+                if n % d == 0:
+                    return False
+                d += 2
+            return True
+
+        assert [n for n in range(10**5) if is_prime(n)] == [
+            n for n in range(10**5) if trial_division(n)
+        ]
+
+    def test_matches_sympy_below_1e24(self):
+        sympy = pytest.importorskip("sympy")
+        rng = random.Random(20150101)
+        samples = [rng.randrange(10**24) for _ in range(3000)]
+        samples += [
+            sympy.nextprime(rng.randrange(10**k, 10 ** (k + 1)))
+            for k in range(12, 24)
+            for _ in range(5)
+        ]
+        samples += [  # semiprimes with two 12-digit factors
+            sympy.nextprime(rng.randrange(10**11, 10**12))
+            * sympy.nextprime(rng.randrange(10**11, 10**12))
+            for _ in range(50)
+        ]
+        for n in samples:
+            assert is_prime(n) == sympy.isprime(n), n
+
+    def test_one_function_serves_every_import_path(self):
+        import hardmat
+        from hardmat import budgets
+
+        assert fields.is_prime is budgets.is_prime is hardmat.is_prime
 
 
 def _brute_force_irreducible(g, p):
