@@ -5,7 +5,8 @@ Walks through every construction and check at small parameters and prints
 what it found: Sidon grids and their moduli, exact dimension measures of the
 hard instances, certified size bounds, the PSD pair invariants, dual-code
 kernel weights, the amplification law pinned by the search oracle, and the
-start-up time of the command-line front end.
+start-up time of the command-line front end.  Exits 1 if a finite-field
+modulus one size step past the benchmark is not the recorded one.
 """
 
 import math
@@ -40,6 +41,11 @@ from hardmat.ssdim import certify_depth_d, gamma_t, sigma_t
 
 F2 = prime_field(2)
 F3 = prime_field(3)
+
+#: Base-p index of the lex-first modulus of `hard finite` one size step past
+#: the benchmark sizes, keyed by (p, n, t); the scan tries index + 1
+#: candidates.
+NEXT_SIZE_INDEX = {(3, 3, 2): 1300, (2, 3, 3): 13333, (2, 4, 2): 9281}
 
 
 def section(title):
@@ -87,6 +93,20 @@ def main():
             f"(max possible {math.comb(n * n, 2)})"
         )
     print(f"  section took {time.perf_counter() - t_field:.2f}s")
+
+    section("Finite-field instances one size step past the benchmark")
+    mismatches = []
+    for (p, n, t), recorded in NEXT_SIZE_INDEX.items():
+        t_build = time.perf_counter()
+        modulus = hard_over_finite(p, n, t).matrix.field.modulus
+        index = sum(c * p**i for i, c in enumerate(modulus[:-1]))
+        print(
+            f"  finite p={p} n={n} t={t}: extension degree {len(modulus) - 1}, "
+            f"scan index {index} (recorded {recorded}), "
+            f"{time.perf_counter() - t_build:.1f}s"
+        )
+        if index != recorded:
+            mismatches.append((p, n, t))
 
     section("Exact dimension of t-wise products on the integer instances")
     m = hard_over_integers(2, 2).matrix
@@ -154,7 +174,11 @@ def main():
     )
 
     print(f"\nall desk checks done in {time.time() - t0:.1f}s")
+    if mismatches:
+        print(f"scan index differs from the record for (p, n, t) in {mismatches}")
+        return 1
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -547,11 +547,10 @@ def dispatch(argv=None) -> CommandResult:
         )
     except (ValueError, ZeroDivisionError, OSError, KeyError) as exc:
         error = {"type": "domain", "message": str(exc)}
-        if isinstance(exc, ValueError):
-            from .circuits import SlcParseError
-
-            if isinstance(exc, SlcParseError):
-                error.update(type="parse", line=exc.line, column=exc.column)
+        # An SlcParseError exists only once its module has been imported.
+        circuits = sys.modules.get(f"{__package__}.circuits")
+        if circuits is not None and isinstance(exc, circuits.SlcParseError):
+            error.update(type="parse", line=exc.line, column=exc.column)
         return CommandResult(1, {"error": error}, provenance)
     return CommandResult(0, payload, provenance)
 

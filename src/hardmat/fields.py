@@ -132,8 +132,9 @@ def find_irreducible(
 
     Enumerates monic candidates with the constant term varying fastest and
     returns the first that passes the exact irreducibility test: Ben-Or
-    gcd steps for small factors, then Rabin's test on the survivors; see
-    fppoly.find_irreducible_coeffs.  Coefficients are low-degree-first.
+    gcd steps, one gcd per block, up to a window fixed by (p, d), then
+    Rabin's test on the survivors; see fppoly._irreducible.  Coefficients
+    are low-degree-first.
     """
     if not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")

@@ -5,15 +5,15 @@ trailing zeros; the zero polynomial is the empty tuple.  This module is the
 engine behind extension-field arithmetic and the deterministic irreducible
 search.
 
-The irreducibility test is one algorithm for every p, run on packed ints (a
-bitmask over F_2, Kronecker-packed slots over odd p).  Ben-Or steps
-gcd(g, z^(p^i) - z) = 1 for i up to a fixed prefix reject candidates with a
-small factor cheaply; while p^i < deg g the gcd runs on g folded modulo
-z^(p^i) - z, so it never touches a degree-d remainder.  Candidates that
-survive get Rabin's test: z^(p^d) = z mod g, and gcd(g, z^(p^(d/r)) - z) = 1
-for each prime r | d.  Binary moduli with a sparse low part are reduced by
-folding z^d onto that low part, so the search stays fast at degrees in the
-thousands.
+The irreducibility test is Ben-Or's, run on packed ints (a bitmask over F_2,
+Kronecker-packed slots over odd p): g of degree d is irreducible iff
+gcd(g, z^(p^i) - z) = 1 for every i <= d/2.  While p^i < d a step's gcd runs
+on g folded modulo z^(p^i) - z, so it never touches a degree-d remainder.
+Later steps run in blocks up to a window fixed by (p, d): each step
+multiplies h_i - z, with h_i = z^(p^i) mod g, into a product mod g, and each
+block pays one gcd of g with that product.  Survivors of a window shorter
+than d/2 get the rest of Rabin's test: z^(p^d) = z mod g, and
+gcd(g, z^(p^(d/r)) - z) = 1 for each prime r | d with d/r past the window.
 """
 
 from __future__ import annotations
@@ -27,15 +27,10 @@ Poly = tuple  # tuple[int, ...], low-degree-first, trimmed
 __all__ = [
     "Poly",
     "trim",
-    "degree",
-    "add",
     "sub",
-    "neg",
     "mul",
     "mod_monic",
-    "gcd",
     "inverse_mod",
-    "eval_at",
     "is_irreducible",
     "find_irreducible_coeffs",
 ]
@@ -49,26 +44,11 @@ def trim(coeffs) -> Poly:
     return tuple(coeffs[:n])
 
 
-def degree(a: Poly) -> int:
-    """Degree of a; the zero polynomial has degree -1."""
-    return len(a) - 1
-
-
-def add(a: Poly, b: Poly, p: int) -> Poly:
-    if len(a) < len(b):
-        a, b = b, a
-    out = list(a)
-    for i, c in enumerate(b):
-        out[i] = (out[i] + c) % p
-    return trim(out)
-
-
-def neg(a: Poly, p: int) -> Poly:
-    return tuple((-c) % p for c in a)
-
-
 def sub(a: Poly, b: Poly, p: int) -> Poly:
-    return add(a, neg(b, p), p)
+    out = list(a) + [0] * (len(b) - len(a))
+    for i, c in enumerate(b):
+        out[i] = (out[i] - c) % p
+    return trim(out)
 
 
 def mul(a: Poly, b: Poly, p: int) -> Poly:
@@ -104,34 +84,6 @@ def mod_monic(a: Poly, g: Poly, p: int) -> Poly:
     return trim(work)
 
 
-def _mod_general(a: Poly, b: Poly, p: int) -> Poly:
-    """Remainder of a modulo an arbitrary nonzero b."""
-    inv = pow(b[-1], p - 2, p)
-    db = len(b) - 1
-    work = list(a)
-    for i in range(len(work) - 1, db - 1, -1):
-        c = work[i] * inv % p
-        if c:
-            work[i] = 0
-            off = i - db
-            for j in range(db):
-                bj = b[j]
-                if bj:
-                    work[off + j] = (work[off + j] - c * bj) % p
-    return trim(work)
-
-
-def gcd(a: Poly, b: Poly, p: int) -> Poly:
-    """Monic greatest common divisor."""
-    a, b = trim(a), trim(b)
-    while b:
-        a, b = b, _mod_general(a, b, p)
-    if a and a[-1] != 1:
-        inv = pow(a[-1], p - 2, p)
-        a = tuple(c * inv % p for c in a)
-    return a
-
-
 def inverse_mod(a: Poly, g: Poly, p: int) -> Poly:
     """Inverse of a modulo g (g monic irreducible) via extended Euclid."""
     a = mod_monic(trim(a), g, p)
@@ -158,27 +110,23 @@ def inverse_mod(a: Poly, g: Poly, p: int) -> Poly:
     return mod_monic(tuple(x * c_inv % p for x in s0), g, p)
 
 
-def eval_at(a: Poly, x: int, p: int) -> int:
-    acc = 0
-    for c in reversed(a):
-        acc = (acc * x + c) % p
-    return acc
-
-
 # ---------------------------------------------------------------------------
 # Irreducibility on packed ints.  Over F_2 a polynomial is an int bitmask
 # (bit i is the coefficient of z^i).  Over odd p it is Kronecker-packed:
 # coefficient i sits in slot i of an int, and the slots are wide enough that
-# a product of two reduced polynomials never carries out of one.
-
-#: Ben-Or steps run before Rabin's test.  They reject candidates with an
-#: irreducible factor of degree <= 15 for a few gcds, before those pay for
-#: the d Frobenius steps of Rabin's test.
-_PREFIX_STEPS = 15
+# no sum formed before a reduction carries out of one.
 
 #: Little-endian struct formats by slot width in bytes; wider slots are
 #: converted one at a time.
 _FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"}
+
+#: Largest p whose slots are reduced byte-wise with ``bytes.translate``: a
+#: byte folded onto another stays below p * (p - 1) < 256.
+_TRANSLATE_MAX_P = 13
+
+#: Ben-Or steps per gcd inside the window; one gcd with g costs about as
+#: much as 4-7 steps.
+_BLOCK = 10
 
 
 def _f2_mod(a: int, g: int, dg: int) -> int:
@@ -197,6 +145,24 @@ def _f2_gcd(a: int, b: int) -> int:
             da, db = db, da
         a ^= b << (da - db)
     return a
+
+
+def _f2_clmul(a: int, b: int) -> int:
+    """Carry-less product: a table of a times every byte, then Horner over b."""
+    table = [0]
+    for k in range(8):
+        s = a << k
+        table += [t ^ s for t in table]
+    acc = 0
+    for c in b.to_bytes((b.bit_length() + 7) // 8, "big"):
+        acc = acc << 8 ^ table[c]
+    return acc
+
+
+def _translate(x: int, table: bytes) -> int:
+    """x with each of its bytes mapped through table."""
+    raw = x.to_bytes((x.bit_length() + 7) // 8, "little")
+    return int.from_bytes(raw.translate(table), "little")
 
 
 def _f2_pack(a: Poly) -> int:
@@ -233,9 +199,8 @@ class _F2Ring:
     def coprime(self, a: int, b: int) -> bool:
         return _f2_gcd(a, b) == 1
 
-    def all_coprime(self, hs) -> bool:
-        """gcd(g, h - z) = 1 for every h in hs."""
-        return all(_f2_gcd(self.g, h ^ 2) == 1 for h in hs)
+    def minus_z(self, h: int) -> int:
+        return h ^ 2
 
     def frob(self, h: int) -> int:
         if self._masks is None:
@@ -244,6 +209,10 @@ class _F2Ring:
         for s, m in self._masks:
             h = (h | h << s) & m
         return self._reduce(h)
+
+    def mulmod(self, a: int, b: int) -> int:
+        """a * b mod g, once frob (or _setup) has run."""
+        return self._reduce(_f2_clmul(a, b))
 
     def _setup(self):
         d = self.d
@@ -259,8 +228,8 @@ class _F2Ring:
         self._taps = _f2_exponents(low)
         self._low = (1 << d) - 1
         # Folding z^d -> low(z) takes `passes` rounds of one shift-xor per
-        # tap to bring a square (degree <= 2d - 2) below d; dividing a bit at
-        # a time takes about d/2 shift-xors.
+        # tap to bring a product (degree <= 2d - 2) below d; dividing a bit
+        # at a time takes about d/2 shift-xors.
         passes = -(-(d - 1) // (d - low.bit_length() + 1))
         if len(self._taps) * passes < d // 2:
             self._reduce = self._fold
@@ -280,20 +249,42 @@ class _F2Ring:
 class _FpRing:
     """F_p[z]/(g) for odd p on Kronecker-packed ints.
 
-    A product x = a * b is one int multiply, then a Barrett fold: with
-    m = z^(2d-2) div g, the quotient of x (deg x <= 2d - 2) by g is exactly
-    ((x div z^d) * m) div z^(d-2), and x mod g is the low d slots of
-    x - quotient * g.  Slots are reduced mod p before each multiply.
+    Reduction mod g is an exact polynomial Barrett fold: with
+    mu = z^D div g, the quotient of x (deg x <= D) by g is
+    ((x div z^d) * mu) div z^(D-d), and x mod g is the low d slots of
+    x - quotient * g.  A product a * b (D = 2d - 2) takes three slot
+    reductions mod p.  The Frobenius map h -> h^p is square-and-multiply,
+    except over F_3, where it is the spread h(z^3) (D = 3(d - 1)) and one
+    fold, with two reductions instead of six; for p >= 5 the spread's
+    longer fold costs more than the products it saves.
     """
 
     def __init__(self, g: Poly, p: int):
-        self.p, self.d = p, len(g) - 1
+        d = len(g) - 1
+        self.p, self.d = p, d
         self.terms = [(e, c) for e, c in enumerate(g) if c]
-        # largest slot value _mulmod forms before reducing mod p
-        bound = 2 * self.d * (p - 1) ** 2
+        self.spread = p == 3
+        # Largest slot value formed before a reduction mod p: a product's
+        # x + q * (-low g).  A spread quotient's, (p - 1)^3 (d - 1), is less.
+        bound = 2 * d * (p - 1) ** 2
         self.width = 1 << ((bound.bit_length() + 7) // 8 - 1).bit_length()
         self.fmt = _FORMATS.get(self.width)
         self.bits = 8 * self.width
+        self._table = None
+        if self.fmt and p <= _TRANSLATE_MAX_P:
+            # Each byte of a slot goes to its residue mod p; then the high
+            # half of each slot folds onto the low half as hi * 2^s mod p,
+            # down to one byte.
+            self._table = (bytes(range(p)) * (256 // p + 1))[:256]
+            slots = (3 * d if self.spread else 2 * d) + 1
+            self._folds = []
+            s = self.bits >> 1
+            while s >= 8:
+                mask = int.from_bytes(
+                    (b"\xff" * (s // 8) + bytes(s // 8)) * slots, "little"
+                )
+                self._folds.append((s, pow(2, s, p), mask))
+                s >>= 1
         self.g = self._pack(g)
         self._m = None
 
@@ -315,8 +306,15 @@ class _FpRing:
             int.from_bytes(raw[i : i + w], "little") % p for i in range(0, len(raw), w)
         ]
 
-    def _reduce(self, x: int, n: int) -> int:
-        return self._pack(self._slots(x, n))
+    def _reduce(self, x: int) -> int:
+        """x with every slot reduced mod p."""
+        table = self._table
+        if table is None:
+            return self._pack(self._slots(x, -(-x.bit_length() // self.bits)))
+        x = _translate(x, table)
+        for s, r, mask in self._folds:
+            x = _translate((x & mask) + r * (x >> s & mask), table)
+        return x
 
     def _tuple(self, x: int) -> Poly:
         return trim(self._slots(x, -(-x.bit_length() // self.bits)))
@@ -328,90 +326,156 @@ class _FpRing:
         return self._pack(coeffs)
 
     def coprime(self, a: int, b: int) -> bool:
-        return degree(gcd(self._tuple(a), self._tuple(b), self.p)) == 0
+        """gcd(a, b) = 1 for a, b with reduced slots, by Euclid on packed ints.
 
-    def all_coprime(self, hs) -> bool:
-        """gcd(g, h - z) = 1 for every h in hs, as one gcd with the product."""
+        An elimination adds (p - c) * b * z^k to a, which zeroes a's top slot
+        mod p and adds at most (p - 1) * sb to the others, where sa and sb
+        bound the slot values of a and b.  Both are reduced only when a
+        division could overflow a slot.
+        """
         p, bits = self.p, self.bits
-        acc = None
-        for h in hs:
-            c = h >> bits & (1 << bits) - 1  # the coefficient of z
-            h += ((c - 1) % p - c) << bits
-            acc = h if acc is None else self._mulmod(acc, h)
-        return acc is None or self.coprime(self.g, acc)
+        top = (1 << bits) - 1
+        sa = sb = p - 1
+        db = (b.bit_length() - 1) // bits
+        while True:
+            # Slots above db hold multiples of p, which change nothing mod p
+            # and land only on slots of a that the division discards.
+            while db >= 0 and (b >> db * bits & top) % p == 0:
+                db -= 1
+            if db <= 0:  # gcd(a, nonzero constant) = 1 and gcd(a, 0) = a
+                return db == 0 or 0 < a <= top
+            da = (a.bit_length() - 1) // bits
+            if da >= db:
+                if sa + (da - db + 1) * (p - 1) * sb > top:
+                    a, b, sa, sb = self._reduce(a), self._reduce(b), p - 1, p - 1
+                sa += (da - db + 1) * (p - 1) * sb
+                inv = pow(b >> db * bits, -1, p)
+                for k in range(da, db - 1, -1):
+                    c = (a >> k * bits & top) * inv % p
+                    if c:
+                        a += (p - c) * b << (k - db) * bits
+            a, b, sa, sb = b, a & ((1 << db * bits) - 1), sb, sa
+            db -= 1
+
+    def minus_z(self, h: int) -> int:
+        p, bits = self.p, self.bits
+        c = h >> bits & (1 << bits) - 1  # the coefficient of z
+        return h + (((c - 1) % p - c) << bits)
 
     def frob(self, h: int) -> int:
         if self._m is None:
             self._setup()
-        out = h
-        for bit in bin(self.p)[3:]:
-            out = self._mulmod(out, out)
-            if bit == "1":
-                out = self._mulmod(out, h)
-        return out
+        if not self.spread:
+            out = h
+            for bit in bin(self.p)[3:]:
+                out = self.mulmod(out, out)
+                if bit == "1":
+                    out = self.mulmod(out, h)
+            return out
+        # h(z)^p = h(z^p): move slot i to slot p*i, then one Barrett fold
+        p, d, w = self.p, self.d, self.width
+        raw = h.to_bytes(d * w, "little")
+        spread = bytearray((p * (d - 1) + 1) * w)
+        for j in range(w):
+            spread[j :: p * w] = raw[j::w]
+        x = int.from_bytes(spread, "little")
+        q = self._reduce((x >> d * self.bits) * self._mu >> self._mu_shift)
+        return self._reduce((x + q * self._neg_low) & self._low)
 
     def _setup(self):
-        g, p, d = self._tuple(self.g), self.p, self.d
-        # m = z^(2d-2) div g by long division
-        rem = [0] * (2 * d - 2) + [1]
-        m = [0] * (d - 1)
+        g, p, d, bits = self._tuple(self.g), self.p, self.d, self.bits
+        top = p * (d - 1) if self.spread else 2 * d - 2
+        # mu = z^top div g by long division; z^(2d-2) div g is its top part
+        rem = [0] * top + [1]
+        mu = [0] * (top - d + 1)
         low = [(j, c) for j, c in enumerate(g[:-1]) if c]
-        for i in range(2 * d - 2, d - 1, -1):
+        for i in range(top, d - 1, -1):
             c = rem[i] % p
             if c:
-                m[i - d] = c
+                mu[i - d] = c
                 for j, gj in low:
                     rem[i - d + j] -= c * gj
-        self._m = self._pack(m)
+        self._mu = self._pack(mu)
+        self._mu_shift = (top - d) * bits
+        self._m = self._mu >> (top - 2 * d + 2) * bits
         self._neg_low = self._pack([(-c) % p for c in g[:-1]])
-        self._low = (1 << d * self.bits) - 1
+        self._low = (1 << d * bits) - 1
 
-    def _mulmod(self, a: int, b: int) -> int:
+    def mulmod(self, a: int, b: int) -> int:
+        """a * b mod g, once frob (or _setup) has run."""
         d, bits = self.d, self.bits
         x = a * b
-        q = self._reduce(x >> d * bits, d - 1)
-        q = self._reduce(q * self._m >> (d - 2) * bits, d - 1)
-        return self._reduce((x + q * self._neg_low) & self._low, d)
+        q = self._reduce(x >> d * bits)
+        q = self._reduce(q * self._m >> (d - 2) * bits)
+        return self._reduce((x + q * self._neg_low) & self._low)
+
+
+def _window(p: int, d: int) -> int:
+    """Last Ben-Or step run in blocks before Rabin's test takes over.
+
+    A step past the window costs one Frobenius map; one inside it also costs
+    a product mod g and 1/_BLOCK of a gcd.  A candidate that passed step i
+    has its smallest factor at step i + 1 with chance ~1/i, and Rabin's test
+    would charge it d - i Frobenius maps, so the window pays up to
+    i ~ d / (c + 1) for a step costing c Frobenius maps.  Measured on CPython
+    3.11, c ~ 15 over F_2 up to d ~ 2000 and ~ d/128 beyond (the product
+    grows faster than a squaring), and c ~ 3 over odd p.  The window is at
+    least 15 steps, so degrees below 32 need no Rabin tail; at degrees of a
+    few hundred, windows of 6 to 25 steps measured within noise.
+    """
+    if p == 2:
+        return max(15, min(d // 16, 128))
+    return max(15, d // 4)
 
 
 def _irreducible(ring) -> bool:
-    """Exact test: Ben-Or steps for small factors, then Rabin's test.
+    """Exact test: blocked Ben-Or steps, then the rest of Rabin's test.
 
-    g of degree d is irreducible iff gcd(g, z^(p^i) - z) = 1 for every
-    i <= d/2 (Ben-Or).  Steps i <= _PREFIX_STEPS run as such.  Survivors of
-    a longer range get Rabin's test: g divides z^(p^d) - z, and
-    gcd(g, z^(p^(d/r)) - z) = 1 for each prime r | d with d/r past the prefix.
+    Ben-Or: g of degree d is irreducible iff gcd(g, z^(p^i) - z) = 1 for
+    every i <= d/2.  Steps with p^i < d fold g modulo z^(p^i) - z.  Later
+    steps up to _window(p, d) run in blocks of _BLOCK: the product of the
+    h_i - z mod g, then one gcd with g.  If the window stops short of
+    d/2, Rabin's test finishes: z^(p^d) = z mod g, and
+    gcd(g, z^(p^(d/r)) - z) = 1 for each prime r | d with d/r past the
+    window (the window has covered the others).
     """
     p, d = ring.p, ring.d
-    k = min(_PREFIX_STEPS, d // 2)
-    powers = []  # z^(p^i) mod g for the steps with p^i >= d
-    for i in range(1, k + 1):
-        n = p**i
-        if n < d:
-            # gcd(g, z^n - z) = gcd(z^n - z, g mod (z^n - z)), and modulo
-            # z^n - z each z^e with e >= 1 is z^(1 + (e - 1) mod (n - 1)).
-            folded = {}
-            for e, c in ring.terms:
-                e = (e - 1) % (n - 1) + 1 if e else 0
-                folded[e] = (folded.get(e, 0) + c) % p
-            if not ring.coprime(ring.poly({n: 1, 1: p - 1}), ring.poly(folded)):
-                return False
-        else:
-            powers.append(ring.frob(powers[-1] if powers else ring.poly({n // p: 1})))
-    if not ring.all_coprime(powers):
-        return False
-    if k == d // 2:
-        return True
-    h = powers[-1] if powers else ring.poly({p**k: 1})
-    checks = {
-        d // r for r in range(2, d + 1) if d % r == 0 and all(r % f for f in range(2, r))
-    }
-    saved = []
-    for i in range(k + 1, d + 1):
+    half = d // 2
+    i, n = 1, p
+    while i <= half and n < d:
+        # gcd(g, z^n - z) = gcd(z^n - z, g mod (z^n - z)), and modulo
+        # z^n - z each z^e with e >= 1 is z^(1 + (e - 1) mod (n - 1)).
+        folded = {}
+        for e, c in ring.terms:
+            e = (e - 1) % (n - 1) + 1 if e else 0
+            folded[e] = (folded.get(e, 0) + c) % p
+        if not ring.coprime(ring.poly({n: 1, 1: p - 1}), ring.poly(folded)):
+            return False
+        i, n = i + 1, n * p
+    last = min(half, _window(p, d))
+    h = ring.poly({n // p: 1})  # z^(p^(i-1)), reduced since p^(i-1) < d
+    while i <= last:
+        end = min(last, i + _BLOCK - 1)
         h = ring.frob(h)
-        if i in checks:
-            saved.append(h)
-    return h == ring.poly({1: 1}) and ring.all_coprime(saved)
+        acc = ring.minus_z(h)
+        for _ in range(i, end):
+            h = ring.frob(h)
+            acc = ring.mulmod(acc, ring.minus_z(h))
+        if not ring.coprime(ring.g, acc):
+            return False
+        i = end + 1
+    if i > half:
+        return True
+    checks = {
+        d // r
+        for r in range(2, d + 1)
+        if d % r == 0 and d // r >= i and all(r % f for f in range(2, r))
+    }
+    for i in range(i, d + 1):
+        h = ring.frob(h)
+        if i in checks and not ring.coprime(ring.g, ring.minus_z(h)):
+            return False
+    return h == ring.poly({1: 1})
 
 
 def is_irreducible(g: Poly, p: int) -> bool:
@@ -450,12 +514,11 @@ def find_irreducible_coeffs(
         )
     total = p**d
     for k in range(min(scan_budget, total)):
-        low = []
-        kk = k
-        for _ in range(d):
-            low.append(kk % p)
-            kk //= p
-        g = tuple(low) + (1,)
+        low, rest = [], k
+        while rest:
+            rest, c = divmod(rest, p)
+            low.append(c)
+        g = tuple(low) + (0,) * (d - len(low)) + (1,)
         if _irreducible(_FpRing(g, p)):
             return g
     raise BudgetExceeded(

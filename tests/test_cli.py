@@ -112,6 +112,7 @@ class TestExitCodes:
         assert result.exit_code == 1
         assert result.payload["error"]["type"] == "parse"
         assert result.payload["error"]["line"] == 3
+        assert result.payload["error"]["column"] == 5
 
 
 class TestDeterminism:
@@ -426,7 +427,7 @@ class TestImportFootprint:
         "print(json.dumps({'code': code, 'modules': sorted(sys.modules)}))\n"
     )
 
-    def loaded(self, argv, stdin_text=""):
+    def loaded(self, argv, stdin_text="", code=0):
         out = subprocess.run(
             [sys.executable, "-c", self.SCRIPT, *argv],
             input=stdin_text,
@@ -435,7 +436,7 @@ class TestImportFootprint:
             check=True,
         )
         result = json.loads(out.stdout)
-        assert result["code"] == 0
+        assert result["code"] == code
         return set(result["modules"])
 
     def test_help_loads_no_layer_and_no_mpmath(self):
@@ -470,6 +471,11 @@ class TestImportFootprint:
         modules = self.loaded(["ssdim", "gamma", "--t", "1"], blob)
         assert "hardmat.fppoly" in modules
         assert "dataclasses" not in modules
+
+    def test_domain_error_loads_no_circuits(self):
+        modules = self.loaded(["hard", "quasipoly", "--n", "3", "--c", "1000"], code=1)
+        assert "hardmat.constructions" in modules
+        assert "hardmat.circuits" not in modules
 
     def test_sidon_loads_no_mpmath(self):
         modules = self.loaded(["sidon", "--n", "2", "--t", "1"])

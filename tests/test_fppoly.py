@@ -13,6 +13,8 @@ import pytest
 from hardmat import fppoly
 from hardmat.fields import find_irreducible, is_prime
 
+from polyref import add, degree, gcd, neg
+
 BIG_PRIME = 1_000_003
 HUGE_PRIME = 999_999_999_989  # slots wider than 8 bytes
 
@@ -37,7 +39,7 @@ def ben_or(g, p):
     h = z = (0, 1)
     for _ in range(d // 2):
         h = _pow_mod(h, p, g, p)
-        if fppoly.degree(fppoly.gcd(fppoly.sub(h, z, p), g, p)) != 0:
+        if degree(gcd(fppoly.sub(h, z, p), g, p)) != 0:
             return False
     return True
 
@@ -61,6 +63,16 @@ def f2_ben_or(g):
         if a != 1:
             return False
     return True
+
+
+def test_sub_matches_adding_the_negation():
+    rng = random.Random(8)
+    for p in (2, 3, 7, BIG_PRIME):
+        for _ in range(60):
+            a = fppoly.trim(tuple(rng.randrange(p) for _ in range(rng.randrange(7))))
+            b = fppoly.trim(tuple(rng.randrange(p) for _ in range(rng.randrange(7))))
+            for x, y in ((a, b), (b, a), (a, a)):
+                assert fppoly.sub(x, y, p) == add(x, neg(y, p), p)
 
 
 def _bits(g):
@@ -172,7 +184,7 @@ def test_packed_mulmod_matches_tuples(p, d):
     for _ in range(10):
         a, b = (fppoly.trim(_random_monic(rng, p, d)[:-1]) for _ in range(2))
         want = fppoly.mod_monic(fppoly.mul(a, b, p), g, p)
-        got = ring._mulmod(ring._pack(list(a) or [0]), ring._pack(list(b) or [0]))
+        got = ring.mulmod(ring._pack(list(a) or [0]), ring._pack(list(b) or [0]))
         assert ring._tuple(got) == want
 
 
@@ -196,3 +208,163 @@ def test_lex_first_moduli_at_the_benchmark_degrees():
     assert find_irreducible(2, 1281) == _bits((1 << 1281) | 1649)
     g3 = find_irreducible(3, 161)
     assert len(g3) == 162 and sum(c * 3**i for i, c in enumerate(g3[:-1])) == 332
+
+
+# ---------------------------------------------------------------------------
+# The blocked Ben-Or window and the kernels under it.  For p = 2 the reference
+# is the bitmask Ben-Or loop, otherwise the tuple one.
+
+
+def _reference(g, p):
+    return f2_ben_or(_pack2(g)) if p == 2 else ben_or(g, p)
+
+
+def _pack2(a):
+    return sum(c << i for i, c in enumerate(a))
+
+
+def _product(*factors, p):
+    g = (1,)
+    for f in factors:
+        g = fppoly.mul(g, f, p)
+    return g
+
+
+# F_2 at degree 512 and F_3 at degree 100 both have a window m with
+# 16 <= m < d/2, so the first, last and first-past-window steps all occur.
+@pytest.mark.parametrize("p,d", [(2, 512), (3, 100)])
+@pytest.mark.parametrize("where", ["first", "last", "past"])
+def test_window_rejects_products_and_squares(p, d, where):
+    m = fppoly._window(p, d)
+    assert 16 <= m < d // 2
+    e = {"first": 16, "last": m, "past": m + 1}[where]
+    f, f2 = _first_irreducibles(p, e, 2)
+    cases = [
+        _product(f, fppoly.find_irreducible_coeffs(p, d - e), p=p),
+        _product(f, f2, fppoly.find_irreducible_coeffs(p, d - 2 * e), p=p),
+        _product(f, f, fppoly.find_irreducible_coeffs(p, d - 2 * e), p=p),
+        _product(f, f, p=p),
+    ]
+    for g in cases:
+        assert not fppoly.is_irreducible(g, p), g
+        assert not _reference(g, p), g
+    assert len(cases[0]) == len(cases[1]) == len(cases[2]) == d + 1
+
+
+@pytest.mark.parametrize("p,d", [(2, 512), (3, 100)])
+def test_window_then_rabin_accepts_the_lex_first_irreducible(p, d):
+    g = fppoly.find_irreducible_coeffs(p, d)
+    assert _reference(g, p)
+    assert fppoly._window(p, d) < d // 2  # the Rabin tail ran
+
+
+def _clmul_reference(a, b):
+    out = 0
+    while b:
+        low = b & -b
+        out ^= a << (low.bit_length() - 1)
+        b ^= low
+    return out
+
+
+@pytest.mark.parametrize("d", [1, 2, 7, 8, 9, 64, 300, 1281])
+def test_f2_carryless_product_matches_bit_loop(d):
+    rng = random.Random(d)
+    pairs = [(0, 5), (5, 0), (1, 1 << d)]
+    pairs += [(rng.getrandbits(d), rng.getrandbits(d)) for _ in range(10)]
+    for a, b in pairs:
+        assert fppoly._f2_clmul(a, b) == _clmul_reference(a, b)
+
+
+@pytest.mark.parametrize("d", [1, 2, 15, 64, 300])
+def test_f2_mulmod_matches_tuples(d):
+    rng = random.Random(d)
+    # a dense low part is reduced by long division, a sparse one by the fold
+    for g in ((1 << d) | rng.getrandbits(d) | 1, (1 << d) | 3):
+        ring = fppoly._F2Ring(g, d)
+        ring._setup()
+        for _ in range(6):
+            a, b = rng.getrandbits(d), rng.getrandbits(d)
+            want = fppoly.mod_monic(fppoly.mul(_bits(a), _bits(b), 2), _bits(g), 2)
+            assert ring.mulmod(a, b) == _pack2(want)
+
+
+ODD_KERNEL_CASES = [
+    (3, 2),
+    (3, 40),
+    (3, 161),
+    (5, 33),
+    (7, 20),
+    (13, 12),
+    (17, 10),
+    (BIG_PRIME, 6),
+    (HUGE_PRIME, 5),
+]
+
+
+@pytest.mark.parametrize("p,d", ODD_KERNEL_CASES)
+def test_packed_gcd_matches_tuple_gcd(p, d):
+    rng = random.Random(p * 7 + d)
+    ring = fppoly._FpRing(_random_monic(rng, p, d), p)
+
+    def random_poly(n):
+        return fppoly.trim(tuple(rng.randrange(p) for _ in range(n)))
+
+    pairs = [((), (1,)), ((2,), ()), ((0, 1), (0, 1)), (random_poly(d), ())]
+    for _ in range(8):
+        pairs.append((random_poly(d), random_poly(d)))
+        k = rng.randrange(1, d + 1)
+        shared = _random_monic(rng, p, k)
+        pairs.append(
+            (
+                fppoly.mul(shared, random_poly(d - k + 1), p),
+                fppoly.mul(shared, random_poly(d - k + 1), p),
+            )
+        )
+    pairs.append((ring._tuple(ring.g), random_poly(d)))
+    for a, b in pairs:
+        want = degree(gcd(a, b, p)) == 0
+        got = ring.coprime(ring._pack(list(a) or [0]), ring._pack(list(b) or [0]))
+        assert got == want, (a, b)
+
+
+@pytest.mark.parametrize("p,d", ODD_KERNEL_CASES)
+def test_packed_frobenius_matches_tuple_power(p, d):
+    rng = random.Random(p * 11 + d)
+    g = _random_monic(rng, p, d)
+    ring = fppoly._FpRing(g, p)
+    assert ring.spread == (p == 3)
+    for _ in range(5):
+        h = fppoly.trim(tuple(rng.randrange(p) for _ in range(d)))
+        got = ring.frob(ring._pack(list(h) or [0]))
+        assert ring._tuple(got) == _pow_mod(h, p, g, p)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 17, BIG_PRIME, HUGE_PRIME])
+def test_slot_reduction_matches_unpacking(p):
+    rng = random.Random(p)
+    d = 50
+    ring = fppoly._FpRing(_random_monic(rng, p, d), p)
+    assert (ring._table is not None) == (p <= 13)
+    full = (1 << ring.bits) - 1  # any slot value, not only the reachable ones
+    assert ring._reduce(0) == 0
+    for n in (1, 2, 3, 2 * d + 1):
+        values = [rng.randrange(full + 1) for _ in range(n - 1)] + [full]
+        got = ring._reduce(ring._pack(values))
+        assert got == ring._pack([v % p for v in values])
+
+
+def test_window_cases_against_sympy():
+    sympy = pytest.importorskip("sympy")
+    z = sympy.Symbol("z")
+    p, d = 3, 100
+    m = fppoly._window(p, d)
+    cases = [fppoly.find_irreducible_coeffs(p, d)]
+    for e in (16, m, m + 1):
+        f = _first_irreducibles(p, e, 1)[0]
+        cases.append(_product(f, fppoly.find_irreducible_coeffs(p, d - e), p=p))
+    rng = random.Random(100)
+    cases += [_random_monic(rng, p, d) for _ in range(2)]
+    for g in cases:
+        expected = sympy.Poly(list(reversed(g)), z, modulus=p).is_irreducible
+        assert fppoly.is_irreducible(g, p) == expected, g
