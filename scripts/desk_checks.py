@@ -6,11 +6,13 @@ what it found: Sidon grids and their moduli, exact dimension measures of the
 hard instances, certified size bounds, the PSD pair invariants, dual-code
 kernel weights, the amplification law pinned by the search oracle, and the
 start-up time of the command-line front end.  Exits 1 if a finite-field
-modulus one size step past the benchmark is not the recorded one.
+modulus one size step past the benchmark is not the recorded one, or if an
+extension-field quotient fails a * (1/a) = 1.
 """
 
 import math
 import os
+import random
 import subprocess
 import sys
 import time
@@ -28,7 +30,7 @@ from hardmat.constructions import (
     hard_over_integers,
     trivial_hard,
 )
-from hardmat.fields import prime_field
+from hardmat.fields import ops_for, prime_field
 from hardmat.hitting import (
     RSParams,
     build_hard_psd,
@@ -82,9 +84,11 @@ def main():
 
     section("Finite-field instances: lex-first modulus scan and exact gamma_t")
     t_field = time.perf_counter()
+    extensions = []
     for p, n, base in [(2, 3, F2), (3, 2, F3)]:
         b = hard_over_finite(p, n, 2)
         field = b.matrix.field
+        extensions.append(field)
         # the scan tries every candidate up to the modulus's base-p index
         scanned = 1 + sum(c * p**i for i, c in enumerate(field.modulus[:-1]))
         print(
@@ -94,8 +98,27 @@ def main():
         )
     print(f"  section took {time.perf_counter() - t_field:.2f}s")
 
+    section("Extension-field mul and div on the packed ring (one call each)")
+    failures = []
+    rng = random.Random(0)
+    for field in extensions:
+        ops = ops_for(field)
+        a = tuple(rng.randrange(field.p) for _ in range(field.degree))
+        t_op = time.perf_counter()
+        ops.mul(a, a)
+        t_mul = time.perf_counter() - t_op
+        t_op = time.perf_counter()
+        inv = ops.div(ops.one, a)
+        t_div = time.perf_counter() - t_op
+        ok = ops.mul(a, inv) == ops.one
+        print(
+            f"  p={field.p} degree {field.degree}: mul {1e3 * t_mul:.2f} ms, "
+            f"div {1e3 * t_div:.1f} ms, a * (1/a) = 1: {ok}"
+        )
+        if not ok:
+            failures.append(f"a * (1/a) is not 1 in {field!r}")
+
     section("Finite-field instances one size step past the benchmark")
-    mismatches = []
     for (p, n, t), recorded in NEXT_SIZE_INDEX.items():
         t_build = time.perf_counter()
         modulus = hard_over_finite(p, n, t).matrix.field.modulus
@@ -106,7 +129,9 @@ def main():
             f"{time.perf_counter() - t_build:.1f}s"
         )
         if index != recorded:
-            mismatches.append((p, n, t))
+            failures.append(
+                f"scan index differs from the record for (p, n, t) = {(p, n, t)}"
+            )
 
     section("Exact dimension of t-wise products on the integer instances")
     m = hard_over_integers(2, 2).matrix
@@ -174,10 +199,9 @@ def main():
     )
 
     print(f"\nall desk checks done in {time.time() - t0:.1f}s")
-    if mismatches:
-        print(f"scan index differs from the record for (p, n, t) in {mismatches}")
-        return 1
-    return 0
+    for failure in failures:
+        print(failure)
+    return 1 if failures else 0
 
 
 if __name__ == "__main__":

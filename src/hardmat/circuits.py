@@ -29,6 +29,7 @@ import re
 from itertools import combinations, product
 from math import comb
 
+from . import fields
 from .budgets import BudgetExceeded, Record, enumeration_budget
 from .fields import (
     INTEGER_RING,
@@ -128,11 +129,10 @@ def _tokenize(text: str):
 
 
 def _parse_int(token: str, line: int, col: int, what: str) -> int:
-    neg = token.startswith("-")
-    body = token[1:] if neg else token
-    if not (body.isascii() and body.isdigit()):
-        raise SlcParseError(f"{what} must be an integer, got {token!r}", line, col)
-    return -int(body) if neg else int(body)
+    try:
+        return fields._parse_decimal(token)
+    except ValueError as exc:  # not decimal, or past int()'s digit limit
+        raise SlcParseError(f"{what}: {exc}", line, col) from None
 
 
 def _parse_field_header(tokens, line: int) -> FieldDescriptor:
@@ -198,7 +198,11 @@ def _parse_value(field: FieldDescriptor, token: str, line: int, col: int):
 
 
 def parse_slc(text: str) -> CircuitFactorization:
-    """Parse circuit text; every failure is a located SlcParseError."""
+    """Parse circuit text; every malformed input is a located SlcParseError.
+
+    Layers whose dense entries together pass the enumeration budget raise
+    BudgetExceeded, naming the line of the layer that passed it.
+    """
     if not isinstance(text, str):
         raise SlcParseError("input must be text")
     lines = iter(_tokenize(text))
@@ -212,6 +216,7 @@ def parse_slc(text: str) -> CircuitFactorization:
     factors: list[ExactMatrix] = []
     current: dict | None = None  # {"rows", "cols", "entries", "seen", "line"}
     last_line = line_no
+    cap, entries = enumeration_budget(), 0  # dense entries over all layers
     for line_no, tokens in lines:
         last_line = line_no
         col0, head = tokens[0]
@@ -232,6 +237,12 @@ def parse_slc(text: str) -> CircuitFactorization:
                     f"{factors[-1].cols} columns, this one {rows} rows",
                     line_no,
                     col0,
+                )
+            entries += rows * cols
+            if entries > cap:
+                raise BudgetExceeded(
+                    f"line {line_no}: a {rows} x {cols} layer takes the circuit "
+                    f"past the budget of {cap} dense entries"
                 )
             current = {
                 "rows": rows,

@@ -18,6 +18,7 @@ from .budgets import (
     TRIVIAL_HARD_CAP,
     BudgetExceeded,
     Record,
+    enumeration_budget,
 )
 from .fields import INTEGER_RING, extension_field, find_irreducible
 from .matrices import ExactMatrix, identity, kronecker
@@ -134,6 +135,12 @@ def amplify_direct_sum(A: ExactMatrix, m: int) -> ExactMatrix:
     """Block-diagonal matrix with m copies of A on the diagonal (I_m (x) A)."""
     if m < 1:
         raise ValueError("m must be at least 1")
+    cap = enumeration_budget()
+    if (m * A.rows) * (m * A.cols) > cap:
+        raise BudgetExceeded(
+            f"{m} copies of a {A.rows} x {A.cols} block exceed the budget of "
+            f"{cap} dense entries"
+        )
     return kronecker(identity(A.field, m), A)
 
 

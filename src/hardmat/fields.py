@@ -5,7 +5,8 @@ Four kinds of domain are supported, identified by a :class:`FieldDescriptor`:
 * ``prime``        -- F_p; elements are int residues in [0, p).
 * ``extension``    -- F_p[z]/(g(z)) for an explicit monic irreducible g;
                       elements are tuples of residues, low-degree-first,
-                      of length exactly deg g.
+                      of length exactly deg g.  Products and quotients
+                      run on the packed ring of ``fppoly.ring``.
 * ``rational``     -- exact rationals; elements are ints or Fractions
                       (Fractions are always in lowest terms, denominator > 0).
 * ``integer-ring`` -- arbitrary-precision integers (no division).
@@ -184,23 +185,21 @@ class _PrimeOps:
 
 
 class _ExtensionOps:
+    """Elements are residue tuples; mul and div pack them into the modulus's
+    ring (built once per field, since ops_for is cached), work there, and
+    unpack the result."""
+
     has_division = True
 
     def __init__(self, field: FieldDescriptor):
-        from .fppoly import inverse_mod, mod_monic, mul
+        from .fppoly import ring
 
         self.field = field
         self.p = field.p
-        self.modulus = field.modulus
         self.degree = field.degree
         self.zero = (0,) * self.degree
-        self.one = self._pad((1 % self.p,))
-        self._mul = mul
-        self._mod_monic = mod_monic
-        self._inverse_mod = inverse_mod
-
-    def _pad(self, t: tuple) -> tuple:
-        return t + (0,) * (self.degree - len(t))
+        self.one = self.from_int(1)
+        self._ring = ring(field.modulus, field.p)
 
     def add(self, a, b):
         p = self.p
@@ -215,18 +214,33 @@ class _ExtensionOps:
         return tuple((-x) % p for x in a)
 
     def mul(self, a, b):
-        prod = self._mul(a, b, self.p)
-        return self._pad(self._mod_monic(prod, self.modulus, self.p))
+        r = self._ring
+        return r.unpack(r.mulmod(r.pack(a), r.pack(b)))
 
     def div(self, a, b):
-        inv = self._inverse_mod(b, self.modulus, self.p)
-        return self.mul(a, inv)
+        if not any(b):
+            raise ZeroDivisionError("inverse of zero in extension field")
+        r = self._ring
+        x = r.pack(b)
+        # 1/b = b^(p^d - 2).  The base-p digits of p^d - 2 are p - 1 (d - 1
+        # times), then p - 2; Horner over them takes one frob and one mulmod
+        # per digit, after b^(p-2) by square and multiply.
+        one = low = r.pack(self.one)
+        for bit in bin(self.p - 2)[2:]:
+            low = r.mulmod(low, low)
+            if bit == "1":
+                low = r.mulmod(low, x)
+        high = r.mulmod(low, x)  # b^(p-1)
+        inv = one
+        for digit in [high] * (self.degree - 1) + [low]:
+            inv = r.mulmod(r.frob(inv), digit)
+        return r.unpack(r.mulmod(r.pack(a), inv))
 
     def is_zero(self, a) -> bool:
         return not any(a)
 
     def from_int(self, k: int):
-        return self._pad((k % self.p,))
+        return (k % self.p,) + (0,) * (self.degree - 1)
 
     def conforms(self, x) -> bool:
         return (
@@ -316,7 +330,8 @@ def extension_generator(field: FieldDescriptor) -> tuple:
     if field.kind != KIND_EXTENSION:
         raise ValueError("generator is defined for extension fields only")
     ops = ops_for(field)
-    return ops._pad(ops._mod_monic((0, 1), field.modulus, field.p))
+    r = ops._ring
+    return r.unpack(r.mulmod(r.poly({1: 1}), r.pack(ops.one)))
 
 
 def power(field: FieldDescriptor, x, e: int):

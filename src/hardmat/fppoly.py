@@ -1,12 +1,16 @@
-"""Dense univariate polynomial arithmetic over prime fields.
+"""Polynomial arithmetic over prime fields on packed ints.
 
-Polynomials over F_p are tuples of residues, low-degree-first, with no
-trailing zeros; the zero polynomial is the empty tuple.  This module is the
+A polynomial over F_2 is an int bitmask (bit i is the coefficient of z^i);
+over odd p it is Kronecker-packed (von zur Gathen-Gerhard, Modern Computer
+Algebra, section 8.4): coefficient i sits in slot i of an int, and the slots
+are wide enough that no sum formed before a reduction carries out of one.
+:func:`ring` returns F_p[z]/(g) on that representation; its ``pack`` and
+``unpack`` convert to and from residue tuples, low-degree-first, which is
+how the ``fields`` layer holds extension elements.  This module is the
 engine behind extension-field arithmetic and the deterministic irreducible
 search.
 
-The irreducibility test is Ben-Or's, run on packed ints (a bitmask over F_2,
-Kronecker-packed slots over odd p): g of degree d is irreducible iff
+The irreducibility test is Ben-Or's: g of degree d is irreducible iff
 gcd(g, z^(p^i) - z) = 1 for every i <= d/2.  While p^i < d a step's gcd runs
 on g folded modulo z^(p^i) - z, so it never touches a degree-d remainder.
 Later steps run in blocks up to a window fixed by (p, d): each step
@@ -27,10 +31,7 @@ Poly = tuple  # tuple[int, ...], low-degree-first, trimmed
 __all__ = [
     "Poly",
     "trim",
-    "sub",
-    "mul",
-    "mod_monic",
-    "inverse_mod",
+    "ring",
     "is_irreducible",
     "find_irreducible_coeffs",
 ]
@@ -44,77 +45,20 @@ def trim(coeffs) -> Poly:
     return tuple(coeffs[:n])
 
 
-def sub(a: Poly, b: Poly, p: int) -> Poly:
-    out = list(a) + [0] * (len(b) - len(a))
-    for i, c in enumerate(b):
-        out[i] = (out[i] - c) % p
-    return trim(out)
+def ring(g: Poly, p: int):
+    """F_p[z]/(g) on packed ints, for a monic g of degree >= 1.
 
-
-def mul(a: Poly, b: Poly, p: int) -> Poly:
-    """Schoolbook product, skipping zero coefficients of the sparser factor."""
-    if not a or not b:
-        return ()
-    if len(a) > len(b):
-        a, b = b, a
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                if bj:
-                    out[i + j] += ai * bj
-    return trim([c % p for c in out])
-
-
-def mod_monic(a: Poly, g: Poly, p: int) -> Poly:
-    """Remainder of a modulo a monic g."""
-    dg = len(g) - 1
-    if len(a) <= dg:
-        return trim(a)
-    work = list(a)
-    for i in range(len(work) - 1, dg - 1, -1):
-        c = work[i]
-        if c:
-            work[i] = 0
-            off = i - dg
-            for j in range(dg):
-                gj = g[j]
-                if gj:
-                    work[off + j] = (work[off + j] - c * gj) % p
-    return trim(work)
-
-
-def inverse_mod(a: Poly, g: Poly, p: int) -> Poly:
-    """Inverse of a modulo g (g monic irreducible) via extended Euclid."""
-    a = mod_monic(trim(a), g, p)
-    if not a:
-        raise ZeroDivisionError("inverse of zero in extension field")
-    r0, r1 = trim(g), a
-    s0, s1 = (), (1,)
-    while r1:
-        inv = pow(r1[-1], p - 2, p)
-        d0, d1 = len(r0) - 1, len(r1) - 1
-        if d0 < d1:
-            r0, r1, s0, s1 = r1, r0, s1, s0
-            continue
-        c = r0[-1] * inv % p
-        shift = d0 - d1
-        shifted = (0,) * shift + tuple(x * c % p for x in r1)
-        r0 = sub(r0, shifted, p)
-        s_shift = (0,) * shift + tuple(x * c % p for x in s1)
-        s0 = sub(s0, s_shift, p)
-        if len(r0) - 1 < d1 or not r0:
-            r0, r1, s0, s1 = r1, r0, s1, s0
-    # r0 is now gcd(a, g) = nonzero constant since g is irreducible
-    c_inv = pow(r0[0], p - 2, p)
-    return mod_monic(tuple(x * c_inv % p for x in s0), g, p)
+    The ring is set up for ``pack``, ``mulmod``, ``frob`` and ``unpack``;
+    the irreducible scan builds its candidate rings directly and sets them
+    up only if a candidate gets past the folded Ben-Or steps.
+    """
+    r = _F2Ring(_F2Ring.pack(g), len(g) - 1) if p == 2 else _FpRing(g, p)
+    r._setup()
+    return r
 
 
 # ---------------------------------------------------------------------------
-# Irreducibility on packed ints.  Over F_2 a polynomial is an int bitmask
-# (bit i is the coefficient of z^i).  Over odd p it is Kronecker-packed:
-# coefficient i sits in slot i of an int, and the slots are wide enough that
-# no sum formed before a reduction carries out of one.
+# The packed rings and the kernels under them.
 
 #: Little-endian struct formats by slot width in bytes; wider slots are
 #: converted one at a time.
@@ -123,6 +67,10 @@ _FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"}
 #: Largest p whose slots are reduced byte-wise with ``bytes.translate``: a
 #: byte folded onto another stays below p * (p - 1) < 256.
 _TRANSLATE_MAX_P = 13
+
+#: Byte maps between 0/1 coefficients and the binary digits of a bitmask.
+_TO_DIGITS = bytes.maketrans(b"\0\1", b"01")
+_FROM_DIGITS = bytes.maketrans(b"01", b"\0\1")
 
 #: Ben-Or steps per gcd inside the window; one gcd with g costs about as
 #: much as 4-7 steps.
@@ -165,14 +113,6 @@ def _translate(x: int, table: bytes) -> int:
     return int.from_bytes(raw.translate(table), "little")
 
 
-def _f2_pack(a: Poly) -> int:
-    v = 0
-    for i, c in enumerate(a):
-        if c:
-            v |= 1 << i
-    return v
-
-
 def _f2_exponents(a: int) -> list[int]:
     """Positions of the set bits of a, lowest first."""
     out = []
@@ -192,6 +132,15 @@ class _F2Ring:
         self.g, self.d = g, d
         self.terms = [(e, 1) for e in _f2_exponents(g)]
         self._masks = None
+
+    @staticmethod
+    def pack(coeffs) -> int:
+        """Bitmask of 0/1 coefficients, low-degree-first."""
+        return int(bytes(coeffs)[::-1].translate(_TO_DIGITS) or b"0", 2)
+
+    def unpack(self, x: int) -> tuple:
+        """The d coefficients of a reduced x, low-degree-first."""
+        return tuple(f"{x:0{self.d}b}".encode()[::-1].translate(_FROM_DIGITS))
 
     def poly(self, terms: dict) -> int:
         return sum(1 << e for e, c in terms.items() if c)
@@ -252,11 +201,12 @@ class _FpRing:
     Reduction mod g is an exact polynomial Barrett fold: with
     mu = z^D div g, the quotient of x (deg x <= D) by g is
     ((x div z^d) * mu) div z^(D-d), and x mod g is the low d slots of
-    x - quotient * g.  A product a * b (D = 2d - 2) takes three slot
-    reductions mod p.  The Frobenius map h -> h^p is square-and-multiply,
-    except over F_3, where it is the spread h(z^3) (D = 3(d - 1)) and one
-    fold, with two reductions instead of six; for p >= 5 the spread's
-    longer fold costs more than the products it saves.
+    x - quotient * g.  A product a * b (D = 2d - 2; D = 1 at d = 1, so that
+    z itself reduces) takes three slot reductions mod p.  The Frobenius map
+    h -> h^p is square-and-multiply, except over F_3, where it is the spread
+    h(z^3) (D = 3(d - 1)) and one fold, with two reductions instead of six;
+    for p >= 5 the spread's longer fold costs more than the products it
+    saves.
     """
 
     def __init__(self, g: Poly, p: int):
@@ -285,10 +235,11 @@ class _FpRing:
                 )
                 self._folds.append((s, pow(2, s, p), mask))
                 s >>= 1
-        self.g = self._pack(g)
+        self.g = self.pack(g)
         self._m = None
 
-    def _pack(self, coeffs) -> int:
+    def pack(self, coeffs) -> int:
+        """Coefficients in [0, 2^bits), low-degree-first, one per slot."""
         if self.fmt:
             raw = struct.pack(f"<{len(coeffs)}{self.fmt}", *coeffs)
         else:
@@ -310,20 +261,21 @@ class _FpRing:
         """x with every slot reduced mod p."""
         table = self._table
         if table is None:
-            return self._pack(self._slots(x, -(-x.bit_length() // self.bits)))
+            return self.pack(self._slots(x, -(-x.bit_length() // self.bits)))
         x = _translate(x, table)
         for s, r, mask in self._folds:
             x = _translate((x & mask) + r * (x >> s & mask), table)
         return x
 
-    def _tuple(self, x: int) -> Poly:
-        return trim(self._slots(x, -(-x.bit_length() // self.bits)))
+    def unpack(self, x: int) -> tuple:
+        """The d coefficients of an x of at most d slots, reduced mod p."""
+        return tuple(self._slots(x, self.d))
 
     def poly(self, terms: dict) -> int:
         coeffs = [0] * (max(terms) + 1)
         for e, c in terms.items():
             coeffs[e] = c
-        return self._pack(coeffs)
+        return self.pack(coeffs)
 
     def coprime(self, a: int, b: int) -> bool:
         """gcd(a, b) = 1 for a, b with reduced slots, by Euclid on packed ints.
@@ -383,22 +335,27 @@ class _FpRing:
         return self._reduce((x + q * self._neg_low) & self._low)
 
     def _setup(self):
-        g, p, d, bits = self._tuple(self.g), self.p, self.d, self.bits
-        top = p * (d - 1) if self.spread else 2 * d - 2
-        # mu = z^top div g by long division; z^(2d-2) div g is its top part
+        p, d, bits = self.p, self.d, self.bits
+        D = max(2 * d - 2, d)  # a product's degree, or z's at d = 1
+        top = max(p * (d - 1), D) if self.spread else D
+        # mu = z^top div g by long division; z^D div g is its top part
         rem = [0] * top + [1]
         mu = [0] * (top - d + 1)
-        low = [(j, c) for j, c in enumerate(g[:-1]) if c]
+        low = self.terms[:-1]  # the nonzero terms of g below z^d
         for i in range(top, d - 1, -1):
             c = rem[i] % p
             if c:
                 mu[i - d] = c
                 for j, gj in low:
                     rem[i - d + j] -= c * gj
-        self._mu = self._pack(mu)
+        self._mu = self.pack(mu)
         self._mu_shift = (top - d) * bits
-        self._m = self._mu >> (top - 2 * d + 2) * bits
-        self._neg_low = self._pack([(-c) % p for c in g[:-1]])
+        self._m = self._mu >> (top - D) * bits
+        self._q_shift = (D - d) * bits
+        neg_low = [0] * d
+        for j, c in low:
+            neg_low[j] = p - c
+        self._neg_low = self.pack(neg_low)
         self._low = (1 << d * bits) - 1
 
     def mulmod(self, a: int, b: int) -> int:
@@ -406,7 +363,7 @@ class _FpRing:
         d, bits = self.d, self.bits
         x = a * b
         q = self._reduce(x >> d * bits)
-        q = self._reduce(q * self._m >> (d - 2) * bits)
+        q = self._reduce(q * self._m >> self._q_shift)
         return self._reduce((x + q * self._neg_low) & self._low)
 
 
@@ -486,9 +443,7 @@ def is_irreducible(g: Poly, p: int) -> bool:
         return False
     if g[-1] != 1:
         raise ValueError("irreducibility test expects a monic polynomial")
-    if p == 2:
-        return _irreducible(_F2Ring(_f2_pack(g), d))
-    return _irreducible(_FpRing(g, p))
+    return _irreducible(ring(g, p))
 
 
 def find_irreducible_coeffs(
@@ -506,9 +461,9 @@ def find_irreducible_coeffs(
         raise ValueError("degree must be at least 1")
     if p == 2:
         for k in range(min(scan_budget, 1 << d)):
-            g = (1 << d) | k
-            if _irreducible(_F2Ring(g, d)):
-                return tuple((g >> i) & 1 for i in range(d + 1))
+            candidate = _F2Ring((1 << d) | k, d)
+            if _irreducible(candidate):
+                return candidate.unpack(k) + (1,)
         raise BudgetExceeded(
             f"no irreducible of degree {d} over F_2 within {scan_budget} candidates"
         )

@@ -115,6 +115,48 @@ class TestExitCodes:
         assert result.payload["error"]["column"] == 5
 
 
+class TestOversizedInputs:
+    """Inputs too large to read or to hold end in a JSON error payload."""
+
+    def main_payload(self, argv, stdin_text, monkeypatch, capsys):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(stdin_text))
+        code = main(argv)
+        return code, json.loads(capsys.readouterr().out)["error"]
+
+    def test_slc_integer_past_the_digit_limit_is_a_located_parse_error(
+        self, monkeypatch, capsys
+    ):
+        text = "field prime " + "7" * 5000 + "\nlayer 1 1\nend\n"
+        code, error = self.main_payload(["circuit", "parse"], text, monkeypatch, capsys)
+        assert code == 1
+        assert (error["type"], error["line"], error["column"]) == ("parse", 1, 13)
+
+    def test_slc_layer_past_the_budget_is_refused_before_allocating(
+        self, monkeypatch, capsys
+    ):
+        text = "field prime 5\nlayer 1000000000000 1\nend\n"
+        code, error = self.main_payload(["circuit", "parse"], text, monkeypatch, capsys)
+        assert code == 3
+        assert error["type"] == "budget"
+        assert error["message"].startswith("line 2:")
+
+    def test_slc_layers_share_one_budget(self, monkeypatch, capsys):
+        monkeypatch.setenv("HARDMAT_BUDGET", "10")
+        text = "field prime 5\nlayer 3 3\nend\nlayer 3 3\nend\n"
+        code, error = self.main_payload(["circuit", "parse"], text, monkeypatch, capsys)
+        assert code == 3
+        assert error["message"].startswith("line 4:")
+
+    def test_amplify_past_the_budget_is_refused_before_allocating(
+        self, monkeypatch, capsys
+    ):
+        blob = json.dumps(dispatch(["hard", "trivial", "--n", "2"]).payload)
+        argv = ["hard", "amplify", "--m", "10000000"]  # 4 * 10^14 entries
+        code, error = self.main_payload(argv, blob, monkeypatch, capsys)
+        assert code == 3
+        assert error["type"] == "budget"
+
+
 class TestDeterminism:
     def test_byte_identical_stdout(self):
         cmd = [sys.executable, "-m", "hardmat", "hard", "integers", "--n", "2", "--t", "2"]

@@ -243,7 +243,7 @@ class TestFindIrreducible:
         h = extension_generator(field)
         for _ in range(d // 2):
             h = power(field, h, p)
-            assert polyref.gcd(fppoly.sub(fppoly.trim(h), (0, 1), p), g, p) == (1,)
+            assert polyref.gcd(polyref.sub(fppoly.trim(h), (0, 1), p), g, p) == (1,)
 
     def test_budget_exceeded(self):
         with pytest.raises(BudgetExceeded):
@@ -265,6 +265,145 @@ class TestGeneratorPowers:
         for e in range(field.degree):
             expected = tuple(1 if i == e else 0 for i in range(field.degree))
             assert power(field, alpha, e) == expected
+
+
+# ---------------------------------------------------------------------------
+# Extension arithmetic runs on fppoly's packed rings; the tuple routines it
+# replaced live on in polyref as references.
+
+
+def _ref_reduce(a, field):
+    """a mod the modulus, padded to the degree (the reference residue)."""
+    r = polyref.mod_monic(fppoly.trim(a), field.modulus, field.p)
+    return r + (0,) * (field.degree - len(r))
+
+
+def _ref_mul(a, b, field):
+    return _ref_reduce(polyref.mul(fppoly.trim(a), fppoly.trim(b), field.p), field)
+
+
+def _ref_div(a, b, field):
+    inv = polyref.inverse_mod(b, field.modulus, field.p)
+    return _ref_mul(a, inv, field)
+
+
+SMALL_DEGREE_FIELDS = [
+    extension_field(2, (0, 1)),  # F_2[z]/(z): z is 0
+    extension_field(2, (1, 1)),
+    extension_field(2, (1, 1, 1)),
+    extension_field(3, (0, 1)),
+    extension_field(3, (1, 1)),  # z = -1 = 2
+    extension_field(3, (1, 0, 1)),
+    extension_field(5, (2, 1)),
+    extension_field(5, find_irreducible(5, 2)),
+    extension_field(7, (1, 0, 1)),  # -1 is no square mod 7
+    extension_field(1_000_003, (5, 1)),
+    extension_field(1_000_003, find_irreducible(1_000_003, 2)),
+]
+
+
+@pytest.mark.parametrize(
+    "field", SMALL_DEGREE_FIELDS, ids=lambda f: f"{f.p}-{'-'.join(map(str, f.modulus))}"
+)
+class TestSmallDegreeExtensions:
+    """Degrees 1 and 2, where the packed products have the fewest slots."""
+
+    def _sample(self, field):
+        p, d = field.p, field.degree
+        if p**d <= 49:
+            return list(product(range(p), repeat=d))
+        rng = random.Random(p * 10 + d)
+        return [tuple(rng.randrange(p) for _ in range(d)) for _ in range(12)]
+
+    def test_mul_and_div_match_tuples(self, field):
+        ops = ops_for(field)
+        elements = self._sample(field)
+        for a in elements:
+            for b in elements:
+                assert ops.mul(a, b) == _ref_mul(a, b, field), (a, b)
+                if any(b):
+                    assert ops.div(a, b) == _ref_div(a, b, field), (a, b)
+
+    def test_from_int_generator_and_power_match_tuples(self, field):
+        ops = ops_for(field)
+        p = field.p
+        for k in (0, 1, 2, p - 1, p, 3 * p + 2, -1):
+            assert ops.from_int(k) == _ref_reduce((k % p,), field)
+        z = extension_generator(field)
+        assert z == _ref_reduce((0, 1), field)
+        want = ops.one
+        for e in range(2 * field.degree + 3):
+            assert power(field, z, e) == want
+            want = _ref_mul(want, z, field)
+
+    def test_inverse_and_zero_division(self, field):
+        ops = ops_for(field)
+        for a in self._sample(field):
+            if any(a):
+                assert ops.mul(a, ops.div(ops.one, a)) == ops.one
+        with pytest.raises(ZeroDivisionError, match="^inverse of zero in extension field$"):
+            ops.div(ops.one, ops.zero)
+
+
+PACKED_CASES = [(2, 1281), (3, 161), (5, 40), (1_000_003, 6), (999_999_999_989, 4)]
+
+
+@pytest.fixture(scope="module", params=PACKED_CASES, ids=str)
+def packed_field(request):
+    p, d = request.param
+    return extension_field(p, find_irreducible(p, d))
+
+
+class TestPackedExtensionOps:
+    """Random elements at the benchmark degrees, a middle one and large p."""
+
+    def _pairs(self, field, n):
+        p, d = field.p, field.degree
+        rng = random.Random(p + d)
+        return [
+            tuple(tuple(rng.randrange(p) for _ in range(d)) for _ in range(2))
+            for _ in range(n)
+        ]
+
+    def test_mul_and_div_match_tuples(self, packed_field):
+        ops = ops_for(packed_field)
+        for a, b in self._pairs(packed_field, 2):
+            assert ops.mul(a, b) == _ref_mul(a, b, packed_field)
+            assert ops.div(a, b) == _ref_div(a, b, packed_field)
+
+    def test_inverse_times_element_is_one(self, packed_field):
+        ops = ops_for(packed_field)
+        for a, _ in self._pairs(packed_field, 3):
+            assert ops.mul(a, ops.div(ops.one, a)) == ops.one
+
+    def test_zero_division_message_is_unchanged(self, packed_field):
+        ops = ops_for(packed_field)
+        with pytest.raises(ZeroDivisionError) as got:
+            ops.div(ops.one, ops.zero)
+        with pytest.raises(ZeroDivisionError) as want:
+            polyref.inverse_mod(ops.zero, packed_field.modulus, packed_field.p)
+        assert str(got.value) == str(want.value)
+
+    def test_against_sympy_galoistools(self, packed_field):
+        gt = pytest.importorskip("sympy.polys.galoistools")
+        from sympy.polys.domains import ZZ
+
+        ops = ops_for(packed_field)
+        p = packed_field.p
+        g = list(reversed(packed_field.modulus))
+
+        def to_gf(a):  # sympy's dense lists are high-degree-first
+            return list(reversed(fppoly.trim(a)))
+
+        def from_gf(f):
+            return _ref_reduce(tuple(int(c) % p for c in reversed(f)), packed_field)
+
+        for a, b in self._pairs(packed_field, 1):
+            want = gt.gf_rem(gt.gf_mul(to_gf(a), to_gf(b), p, ZZ), g, p, ZZ)
+            assert ops.mul(a, b) == from_gf(want)
+            s, _, h = gt.gf_gcdex(to_gf(b), g, p, ZZ)
+            assert h == [1]
+            assert ops.div(ops.one, b) == from_gf(s)
 
 
 class TestEncodings:
