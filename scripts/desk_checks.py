@@ -6,8 +6,9 @@ what it found: Sidon grids and their moduli, exact dimension measures of the
 hard instances, certified size bounds, the PSD pair invariants, dual-code
 kernel weights, the amplification law pinned by the search oracle, and the
 start-up time of the command-line front end.  Exits 1 if a finite-field
-modulus one size step past the benchmark is not the recorded one, or if an
-extension-field quotient fails a * (1/a) = 1.
+modulus one size step past the benchmark is not the recorded one, if an
+extension-field quotient fails a * (1/a) = 1, or if RS(13, 7), one size
+step past the benchmark's RS(13, 8), does not show kernel weight k + 1.
 """
 
 import math
@@ -159,14 +160,19 @@ def main():
             f"rank(m) = {rank(pair.mtilde)}, gram check = {pair.m.entries[:2]}..."
         )
 
-    section("Reed-Solomon dual kernel weights (exhaustive)")
-    for q, k in [(5, 2), (5, 4), (7, 3), (11, 8), (13, 8), (13, 10)]:
+    section("Reed-Solomon dual kernel weights (exact)")
+    for q, k, budget in [
+        (5, 2, None), (5, 4, None), (7, 3, None), (11, 8, None), (13, 8, None),
+        (13, 10, None), (13, 7, 13**6),
+    ]:
         t_kernel = time.perf_counter()
-        w = min_kernel_weight(rs_generator(RSParams(q, k)))
+        w = min_kernel_weight(rs_generator(RSParams(q, k)), budget=budget)
         print(
             f"  q={q:2d} k={k}: min nonzero kernel weight = {w} (k+1 = {k + 1}), "
             f"{time.perf_counter() - t_kernel:.3f}s"
         )
+        if (q, k) == (13, 7) and w != k + 1:
+            failures.append(f"RS({q}, {k}) has min kernel weight {w}, not {k + 1}")
 
     section("Amplification law via the depth-2 oracle")
     ones = from_rows(F2, [[1, 1], [1, 1]])

@@ -385,134 +385,125 @@ def _finite_float(text: str) -> float:
     return value
 
 
-def _add_input(sub, help_text="matrix JSON path, or - for stdin"):
-    sub.add_argument("--in", dest="input", default="-", help=help_text)
+def _ints(*flags) -> tuple:
+    """Required integer options."""
+    return tuple((flag, {"type": int, "required": True}) for flag in flags)
 
 
-def build_parser() -> argparse.ArgumentParser:
+def _required(help_text: str) -> dict:
+    return {"required": True, "help": help_text}
+
+
+def _in(help_text: str) -> tuple:
+    return ("--in", {"dest": "input", "default": "-", "help": help_text})
+
+
+_BUDGET = ("--budget", {"type": int})
+_MATRIX_IN = _in("matrix JSON path, or - for stdin")
+_SLC_IN = _in(".slc path, or - for stdin")
+
+
+# (command path, help, arguments as (flag, add_argument keywords), handler).
+# A path without a handler is a group; its subcommands follow it.
+_COMMANDS = (
+    ("sidon", "construct or verify a t-wise Sidon grid", (
+        ("--n", {"type": int}),
+        *_ints("--t"),
+        ("--prime-budget", {"type": int, "default": 1_000_000}),
+        ("--verify", {"action": "store_true", "help": "verify JSON from --in"}),
+        _in("sidon JSON or element array (with --verify)"),
+    ), _cmd_sidon),
+    ("hard", "explicit hard-matrix constructions", (), None),
+    ("hard finite", "powers of the extension generator", _ints("--p", "--n", "--t"),
+     _cmd_hard_finite),
+    ("hard integers", "powers of two on the Sidon grid", _ints("--n", "--t"),
+     _cmd_hard_integers),
+    ("hard trivial", "doubly-exponential small instance", _ints("--n"),
+     _cmd_hard_trivial),
+    ("hard quasipoly", "block-diagonal amplification",
+     _ints("--n") + (("--c", {"type": _finite_float, "required": True}),),
+     _cmd_hard_quasipoly),
+    ("hard amplify", "I_m (x) A for a given matrix A", _ints("--m") + (_MATRIX_IN,),
+     _cmd_hard_amplify),
+    ("ssdim", "Shoup-Smolensky measures and bounds", (), None),
+    ("ssdim gamma", "span dimension of t-wise products",
+     _ints("--t") + (_BUDGET, _MATRIX_IN), _cmd_ssdim_gamma),
+    ("ssdim sigma", "distinct subset sums of products",
+     _ints("--t") + (_BUDGET, _MATRIX_IN), _cmd_ssdim_sigma),
+    ("ssdim bound", "log-space bound quantities", _ints("--s", "--d", "--t", "--n"),
+     _cmd_ssdim_bound),
+    ("ssdim certify", "largest size ruled out at depth d", _ints("--n", "--d", "--t"),
+     _cmd_ssdim_certify),
+    ("hitting", "probe vectors and kernel weights", (), None),
+    ("hitting vand", "rational probe vectors", _ints("--n", "--s"), _cmd_hitting_vand),
+    ("hitting rs", "Reed-Solomon generator matrix", _ints("--q", "--k"),
+     _cmd_hitting_rs),
+    ("hitting kernelweight", "min weight in ker(G^T)", (_BUDGET, _MATRIX_IN),
+     _cmd_hitting_kernelweight),
+    ("hitting hit", "the pairing a^T M b", (
+        ("--a", _required("JSON array of element encodings")),
+        ("--b", _required("JSON array of element encodings")),
+        _MATRIX_IN,
+    ), _cmd_hitting_hit),
+    ("psd", "hard PSD instance and refuters", (), None),
+    ("psd build", "rank-n/2 PSD matrix and Gram factor", _ints("--n"), _cmd_psd_build),
+    ("psd refute-sym", "check a claimed Gram factor",
+     _ints("--n") + (("--b", _required("matrix JSON path for B")),),
+     _cmd_psd_refute_sym),
+    ("psd refute-inv", "check a claimed invertible product", _ints("--n") + (
+        ("--b", _required("matrix JSON path for B")),
+        ("--c", _required("matrix JSON path for C")),
+        ("--side", {"required": True,
+                    "choices": ["left-invertible", "right-invertible"]}),
+    ), _cmd_psd_refute_inv),
+    ("circuit", "parse, verify, and emit .slc files", (), None),
+    ("circuit parse", "parse and summarize", (_SLC_IN,), _cmd_circuit_parse),
+    ("circuit verify", "multiply layers and compare", (
+        ("--target", _required("matrix JSON path")),
+        ("--circuit", _required(".slc path")),
+    ), _cmd_circuit_verify),
+    ("circuit emit", "canonicalize circuit text", (
+        _SLC_IN,
+        ("--out", {"help": "also write the canonical text to this path"}),
+    ), _cmd_circuit_emit),
+    ("search", "minimum depth-2 sparsity by exhaustion", (
+        ("--m-max", {"type": int}),
+        *_ints("--s-max"),
+        _BUDGET,
+        _MATRIX_IN,
+    ), _cmd_search),
+)
+
+
+def build_parser(argv=None) -> argparse.ArgumentParser:
+    """The command-line parser, or only the branch argv names.
+
+    Every command and subcommand is registered with its help, so usage
+    lines, choice lists and help texts are those of the full parser.  Given
+    argv, arguments and handlers go only on the path named by its first one
+    or two non-option words, the only path argparse will parse.
+    """
+    named = None if argv is None else [w for w in argv if not w.startswith("-")][:2]
     parser = argparse.ArgumentParser(
         prog="hardmat",
         description="explicit hard matrices, Shoup-Smolensky measures, "
         "hitting sets, and a desk-scale factorization oracle",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("sidon", help="construct or verify a t-wise Sidon grid")
-    p.add_argument("--n", type=int)
-    p.add_argument("--t", type=int, required=True)
-    p.add_argument("--prime-budget", type=int, default=1_000_000)
-    p.add_argument("--verify", action="store_true", help="verify JSON from --in")
-    _add_input(p, "sidon JSON or element array (with --verify)")
-    p.set_defaults(handler=_cmd_sidon, operation="sidon")
-
-    hard = sub.add_parser("hard", help="explicit hard-matrix constructions")
-    hard_sub = hard.add_subparsers(dest="subcommand", required=True)
-    p = hard_sub.add_parser("finite", help="powers of the extension generator")
-    p.add_argument("--p", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--t", type=int, required=True)
-    p.set_defaults(handler=_cmd_hard_finite, operation="hard finite")
-    p = hard_sub.add_parser("integers", help="powers of two on the Sidon grid")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--t", type=int, required=True)
-    p.set_defaults(handler=_cmd_hard_integers, operation="hard integers")
-    p = hard_sub.add_parser("trivial", help="doubly-exponential small instance")
-    p.add_argument("--n", type=int, required=True)
-    p.set_defaults(handler=_cmd_hard_trivial, operation="hard trivial")
-    p = hard_sub.add_parser("quasipoly", help="block-diagonal amplification")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--c", type=_finite_float, required=True)
-    p.set_defaults(handler=_cmd_hard_quasipoly, operation="hard quasipoly")
-    p = hard_sub.add_parser("amplify", help="I_m (x) A for a given matrix A")
-    p.add_argument("--m", type=int, required=True)
-    _add_input(p)
-    p.set_defaults(handler=_cmd_hard_amplify, operation="hard amplify")
-
-    ssdim = sub.add_parser("ssdim", help="Shoup-Smolensky measures and bounds")
-    ssdim_sub = ssdim.add_subparsers(dest="subcommand", required=True)
-    p = ssdim_sub.add_parser("gamma", help="span dimension of t-wise products")
-    p.add_argument("--t", type=int, required=True)
-    p.add_argument("--budget", type=int)
-    _add_input(p)
-    p.set_defaults(handler=_cmd_ssdim_gamma, operation="ssdim gamma")
-    p = ssdim_sub.add_parser("sigma", help="distinct subset sums of products")
-    p.add_argument("--t", type=int, required=True)
-    p.add_argument("--budget", type=int)
-    _add_input(p)
-    p.set_defaults(handler=_cmd_ssdim_sigma, operation="ssdim sigma")
-    p = ssdim_sub.add_parser("bound", help="log-space bound quantities")
-    p.add_argument("--s", type=int, required=True)
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--t", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.set_defaults(handler=_cmd_ssdim_bound, operation="ssdim bound")
-    p = ssdim_sub.add_parser("certify", help="largest size ruled out at depth d")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--d", type=int, required=True)
-    p.add_argument("--t", type=int, required=True)
-    p.set_defaults(handler=_cmd_ssdim_certify, operation="ssdim certify")
-
-    hitting = sub.add_parser("hitting", help="probe vectors and kernel weights")
-    hitting_sub = hitting.add_subparsers(dest="subcommand", required=True)
-    p = hitting_sub.add_parser("vand", help="rational probe vectors")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--s", type=int, required=True)
-    p.set_defaults(handler=_cmd_hitting_vand, operation="hitting vand")
-    p = hitting_sub.add_parser("rs", help="Reed-Solomon generator matrix")
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.set_defaults(handler=_cmd_hitting_rs, operation="hitting rs")
-    p = hitting_sub.add_parser("kernelweight", help="min weight in ker(G^T)")
-    p.add_argument("--budget", type=int)
-    _add_input(p)
-    p.set_defaults(handler=_cmd_hitting_kernelweight, operation="hitting kernelweight")
-    p = hitting_sub.add_parser("hit", help="the pairing a^T M b")
-    p.add_argument("--a", required=True, help="JSON array of element encodings")
-    p.add_argument("--b", required=True, help="JSON array of element encodings")
-    _add_input(p)
-    p.set_defaults(handler=_cmd_hitting_hit, operation="hitting hit")
-
-    psd = sub.add_parser("psd", help="hard PSD instance and refuters")
-    psd_sub = psd.add_subparsers(dest="subcommand", required=True)
-    p = psd_sub.add_parser("build", help="rank-n/2 PSD matrix and Gram factor")
-    p.add_argument("--n", type=int, required=True)
-    p.set_defaults(handler=_cmd_psd_build, operation="psd build")
-    p = psd_sub.add_parser("refute-sym", help="check a claimed Gram factor")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--b", required=True, help="matrix JSON path for B")
-    p.set_defaults(handler=_cmd_psd_refute_sym, operation="psd refute-sym")
-    p = psd_sub.add_parser("refute-inv", help="check a claimed invertible product")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--b", required=True, help="matrix JSON path for B")
-    p.add_argument("--c", required=True, help="matrix JSON path for C")
-    p.add_argument(
-        "--side",
-        required=True,
-        choices=["left-invertible", "right-invertible"],
-    )
-    p.set_defaults(handler=_cmd_psd_refute_inv, operation="psd refute-inv")
-
-    circuit = sub.add_parser("circuit", help="parse, verify, and emit .slc files")
-    circuit_sub = circuit.add_subparsers(dest="subcommand", required=True)
-    p = circuit_sub.add_parser("parse", help="parse and summarize")
-    _add_input(p, ".slc path, or - for stdin")
-    p.set_defaults(handler=_cmd_circuit_parse, operation="circuit parse")
-    p = circuit_sub.add_parser("verify", help="multiply layers and compare")
-    p.add_argument("--target", required=True, help="matrix JSON path")
-    p.add_argument("--circuit", required=True, help=".slc path")
-    p.set_defaults(handler=_cmd_circuit_verify, operation="circuit verify")
-    p = circuit_sub.add_parser("emit", help="canonicalize circuit text")
-    _add_input(p, ".slc path, or - for stdin")
-    p.add_argument("--out", help="also write the canonical text to this path")
-    p.set_defaults(handler=_cmd_circuit_emit, operation="circuit emit")
-
-    p = sub.add_parser("search", help="minimum depth-2 sparsity by exhaustion")
-    p.add_argument("--m-max", type=int, default=None)
-    p.add_argument("--s-max", type=int, required=True)
-    p.add_argument("--budget", type=int)
-    _add_input(p)
-    p.set_defaults(handler=_cmd_search, operation="search")
-
+    groups = {"": parser.add_subparsers(dest="command", required=True)}
+    for path, help_text, arguments, handler in _COMMANDS:
+        parent, _, name = path.rpartition(" ")
+        if parent not in groups:
+            continue  # a group off the named path has no subcommands
+        sub = groups[parent].add_parser(name, help=help_text)
+        words = path.split()
+        if named is not None and words != named[: len(words)]:
+            continue
+        if handler is None:
+            groups[path] = sub.add_subparsers(dest="subcommand", required=True)
+            continue
+        for flag, options in arguments:
+            sub.add_argument(flag, **options)
+        sub.set_defaults(handler=handler, operation=path)
     return parser
 
 
@@ -521,7 +512,9 @@ _PROVENANCE_SKIP = {"handler", "operation", "command", "subcommand"}
 
 def dispatch(argv=None) -> CommandResult:
     """Run one command; returns the payload, provenance, and exit code."""
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    parser = build_parser(argv)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

@@ -19,14 +19,14 @@ from __future__ import annotations
 
 import sys
 from contextlib import contextmanager
-from fractions import Fraction
 from functools import lru_cache
 from math import log10
 
 from .budgets import IRREDUCIBLE_SCAN_BUDGET, MAX_EXPONENT_BITS, Record, is_prime
 
 # ``fppoly`` is imported only where an extension field is used, so calls over
-# prime fields, Q and Z do not load it.
+# prime fields, Q and Z do not load it; ``fractions`` only where a rational is
+# made or checked.
 
 __all__ = [
     "KIND_PRIME",
@@ -253,8 +253,8 @@ class _ExtensionOps:
         )
 
 
-class _RationalOps:
-    has_division = True
+class _IntegerOps:
+    has_division = False
 
     def __init__(self, field: FieldDescriptor):
         self.field = field
@@ -274,9 +274,7 @@ class _RationalOps:
         return -a
 
     def div(self, a, b):
-        if b == 0:
-            raise ZeroDivisionError("division by zero")
-        return Fraction(a, 1) / b
+        raise ValueError("the integer ring has no division; lift to rationals")
 
     def is_zero(self, a) -> bool:
         return a == 0
@@ -285,17 +283,25 @@ class _RationalOps:
         return k
 
     def conforms(self, x) -> bool:
-        return isinstance(x, (int, Fraction)) and not isinstance(x, bool)
+        return isinstance(x, int) and not isinstance(x, bool)
 
 
-class _IntegerOps(_RationalOps):
-    has_division = False
+class _RationalOps(_IntegerOps):
+    has_division = True
+
+    def __init__(self, field: FieldDescriptor):
+        from fractions import Fraction
+
+        super().__init__(field)
+        self._fraction = Fraction
 
     def div(self, a, b):
-        raise ValueError("the integer ring has no division; lift to rationals")
+        if b == 0:
+            raise ZeroDivisionError("division by zero")
+        return self._fraction(a, 1) / b
 
     def conforms(self, x) -> bool:
-        return isinstance(x, int) and not isinstance(x, bool)
+        return isinstance(x, (int, self._fraction)) and not isinstance(x, bool)
 
 
 _OPS_CLASSES = {
@@ -403,7 +409,14 @@ def _parse_decimal(raw: str, to_int=int) -> int:
     body = text[1:] if neg else text
     if not (body.isascii() and body.isdigit()):
         raise ValueError(f"not a decimal integer: {raw!r}")
-    return -to_int(body) if neg else to_int(body)
+    try:
+        value = to_int(body)
+    except ValueError:  # ASCII digits fail only Python's int/str digit limit
+        limit = sys.get_int_max_str_digits()
+        raise ValueError(
+            f"integer has {len(body)} digits, more than the limit of {limit}"
+        ) from None
+    return -value if neg else value
 
 
 def encode_element(field: FieldDescriptor, x):
@@ -423,7 +436,7 @@ def encode_element(field: FieldDescriptor, x):
     if field.kind == KIND_EXTENSION:
         return [str(c) for c in x]
     if field.kind == KIND_RATIONAL:
-        f = Fraction(x)
+        f = ops._fraction(x)
         return f"{f.numerator}/{f.denominator}"
     with _no_int_digit_limit():
         return str(x)
@@ -461,7 +474,7 @@ def decode_element(field: FieldDescriptor, raw):
                 raise ValueError("rational with zero denominator")
         else:
             den = 1
-        return Fraction(num, den)
+        return ops_for(field)._fraction(num, den)
     digits = len(raw.strip().removeprefix("-")) if isinstance(raw, str) else 0
     if digits > _MAX_INT_DIGITS:
         raise ValueError(f"integer has {digits} digits, more than 2^{MAX_EXPONENT_BITS} has")

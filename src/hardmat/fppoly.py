@@ -23,6 +23,7 @@ gcd(g, z^(p^(d/r)) - z) = 1 for each prime r | d with d/r past the window.
 from __future__ import annotations
 
 import struct
+from functools import lru_cache
 
 from .budgets import IRREDUCIBLE_SCAN_BUDGET, BudgetExceeded
 
@@ -123,6 +124,45 @@ def _f2_exponents(a: int) -> list[int]:
     return out
 
 
+@lru_cache(maxsize=8)
+def _f2_masks(d: int) -> tuple:
+    """Squaring masks below degree d: (s, the low s bits of every 2s-bit
+    block) for s halving from span/2 to 1."""
+    span = 1 << (d - 1).bit_length()  # power of two >= d, the input width
+    ones = (1 << 2 * span) - 1
+    masks = []
+    s = span >> 1
+    while s:
+        masks.append((s, ones // ((1 << 2 * s) - 1) * ((1 << s) - 1)))
+        s >>= 1
+    return tuple(masks)
+
+
+@lru_cache(maxsize=8)
+def _fp_layout(p: int, d: int) -> tuple:
+    """(width, struct format, translate table, folds) of the packed slots of
+    F_p[z]/(g) with deg g = d; the table and folds are None where slots are
+    reduced one at a time."""
+    # Largest slot value formed before a reduction mod p: a product's
+    # x + q * (-low g).  A spread quotient's, (p - 1)^3 (d - 1), is less.
+    bound = 2 * d * (p - 1) ** 2
+    width = 1 << ((bound.bit_length() + 7) // 8 - 1).bit_length()
+    fmt = _FORMATS.get(width)
+    if not fmt or p > _TRANSLATE_MAX_P:
+        return width, fmt, None, None
+    # Each byte of a slot goes to its residue mod p; then the high half of
+    # each slot folds onto the low half as hi * 2^s mod p, down to one byte.
+    table = (bytes(range(p)) * (256 // p + 1))[:256]
+    slots = (3 * d if p == 3 else 2 * d) + 1
+    folds = []
+    s = 4 * width
+    while s >= 8:
+        mask = int.from_bytes((b"\xff" * (s // 8) + bytes(s // 8)) * slots, "little")
+        folds.append((s, pow(2, s, p), mask))
+        s >>= 1
+    return width, fmt, table, tuple(folds)
+
+
 class _F2Ring:
     """F_2[z]/(g) on bitmasks; squaring is the Frobenius map."""
 
@@ -165,14 +205,7 @@ class _F2Ring:
 
     def _setup(self):
         d = self.d
-        span = 1 << (d - 1).bit_length()  # power of two >= d, the input width
-        ones = (1 << 2 * span) - 1
-        self._masks = []
-        s = span >> 1
-        while s:
-            # the low s bits of every 2s-bit block
-            self._masks.append((s, ones // ((1 << 2 * s) - 1) * ((1 << s) - 1)))
-            s >>= 1
+        self._masks = _f2_masks(d)
         low = self.g ^ (1 << d)
         self._taps = _f2_exponents(low)
         self._low = (1 << d) - 1
@@ -214,27 +247,8 @@ class _FpRing:
         self.p, self.d = p, d
         self.terms = [(e, c) for e, c in enumerate(g) if c]
         self.spread = p == 3
-        # Largest slot value formed before a reduction mod p: a product's
-        # x + q * (-low g).  A spread quotient's, (p - 1)^3 (d - 1), is less.
-        bound = 2 * d * (p - 1) ** 2
-        self.width = 1 << ((bound.bit_length() + 7) // 8 - 1).bit_length()
-        self.fmt = _FORMATS.get(self.width)
+        self.width, self.fmt, self._table, self._folds = _fp_layout(p, d)
         self.bits = 8 * self.width
-        self._table = None
-        if self.fmt and p <= _TRANSLATE_MAX_P:
-            # Each byte of a slot goes to its residue mod p; then the high
-            # half of each slot folds onto the low half as hi * 2^s mod p,
-            # down to one byte.
-            self._table = (bytes(range(p)) * (256 // p + 1))[:256]
-            slots = (3 * d if self.spread else 2 * d) + 1
-            self._folds = []
-            s = self.bits >> 1
-            while s >= 8:
-                mask = int.from_bytes(
-                    (b"\xff" * (s // 8) + bytes(s // 8)) * slots, "little"
-                )
-                self._folds.append((s, pow(2, s, p), mask))
-                s >>= 1
         self.g = self.pack(g)
         self._m = None
 

@@ -13,7 +13,6 @@ in closed form from Lagrange basis polynomials and checked in integers.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import factorial, lcm
 from operator import mul
 
@@ -157,12 +156,16 @@ def sparse_row_hit(r, s: int, hv: HittingVectors) -> int:
 
 
 def min_kernel_weight(G: ExactMatrix, budget: int | None = None) -> int | None:
-    """Minimum Hamming weight over all nonzero vectors in ker(G^T), exhaustively.
+    """Minimum Hamming weight over all nonzero vectors in ker(G^T), exactly.
 
     Returns None when the kernel is zero.  Weight is invariant under nonzero
-    scaling, so only the (p^dim - 1)/(p - 1) coefficient combinations of a
-    basis whose first nonzero coefficient is 1 are enumerated, depth-first;
-    the budget still caps the whole kernel: p^dim must fit it.
+    scaling, so only coefficient combinations of a basis whose first nonzero
+    coefficient is 1 are walked, depth-first, and the last basis vector b is
+    counted rather than enumerated: slot i of acc + c*b vanishes only at
+    c = -acc_i / b_i when b_i != 0, for every c when b_i = acc_i = 0, and
+    never otherwise, so min_c wt(acc + c*b) is the length minus the slots
+    zero for every c minus the most slots one c zeroes.  The budget still
+    caps the whole kernel: p^dim must fit it.
     """
     if G.field.kind != KIND_PRIME:
         raise ValueError("kernel-weight enumeration expects a prime-field matrix")
@@ -174,25 +177,33 @@ def min_kernel_weight(G: ExactMatrix, budget: int | None = None) -> int | None:
     cap = enumeration_budget(budget)
     if p**dim > cap:
         raise BudgetExceeded(f"kernel has {p}^{dim} vectors, budget is {cap}")
+    last = basis[-1]
+    n = len(last)
+    # roots[i][a]: the c that zeroes slot i when acc_i = a; None where b_i = 0
+    roots = [[-a * pow(x, -1, p) % p for a in range(p)] if x else None for x in last]
     multiples = [
-        [tuple(c * x % p for x in b) for c in range(p)] for b in basis
+        [tuple(c * x % p for x in b) for c in range(p)] for b in basis[:-1]
     ]
-    best: int | None = None
+    best = sum(1 for x in last if x)
 
     def explore(level: int, acc: tuple):
         nonlocal best
         if best == 1:
             return
-        if level == dim:
-            w = sum(1 for x in acc if x)
-            if best is None or w < best:
-                best = w
+        if level == dim - 1:
+            stuck, hits = 0, [0] * p
+            for root, a in zip(roots, acc):
+                if root is not None:
+                    hits[root[a]] += 1
+                elif not a:
+                    stuck += 1
+            best = min(best, n - stuck - max(hits))
             return
         explore(level + 1, acc)
         for mv in multiples[level][1:]:
             explore(level + 1, tuple((a + b) % p for a, b in zip(acc, mv)))
 
-    for lead in range(dim):
+    for lead in range(dim - 1):
         explore(lead + 1, multiples[lead][1])
     return best
 
@@ -275,6 +286,8 @@ def build_hard_psd(n: int, max_n: int = PSD_MAX_N) -> PsdPair:
         _rank_rows(RATIONAL_FIELD, [row[:] for row in gram]) != half
     ):
         raise RuntimeError("psd construction: rank(m) != n/2")
+    from fractions import Fraction
+
     mtilde = [Fraction(x, big_l) for row in rows for x in row]
     m = [Fraction(x, big_l * big_l) for row in gram for x in row]
     return PsdPair(

@@ -4,10 +4,11 @@ import io
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from hardmat.cli import dispatch, main, read_matrix
+from hardmat.cli import _COMMANDS, build_parser, dispatch, main, read_matrix
 from hardmat.constructions import trivial_hard
 from hardmat.fields import extension_field, prime_field
 from hardmat.matrices import identity, matrix_from_json, matrix_to_json
@@ -130,6 +131,31 @@ class TestOversizedInputs:
         code, error = self.main_payload(["circuit", "parse"], text, monkeypatch, capsys)
         assert code == 1
         assert (error["type"], error["line"], error["column"]) == ("parse", 1, 13)
+
+    @pytest.mark.skipif(
+        not hasattr(sys, "get_int_max_str_digits"), reason="no int/str digit limit"
+    )
+    @pytest.mark.parametrize(
+        "field, entry, prefix",
+        [
+            ({"kind": "prime", "p": "7" * 5000}, "1", ""),
+            ({"kind": "prime", "p": "7"}, "7" * 5000, "entry 0: "),
+        ],
+        ids=["descriptor", "entry"],
+    )
+    def test_matrix_integer_past_the_digit_limit_names_the_limit(
+        self, monkeypatch, capsys, field, entry, prefix
+    ):
+        blob = json.dumps({"field": field, "rows": 1, "cols": 1, "entries": [entry]})
+        argv = ["hitting", "kernelweight"]
+        code, error = self.main_payload(argv, blob, monkeypatch, capsys)
+        limit = sys.get_int_max_str_digits()
+        assert code == 1
+        assert error == {
+            "type": "domain",
+            "message": f"{prefix}integer has 5000 digits, "
+            f"more than the limit of {limit}",
+        }
 
     def test_slc_layer_past_the_budget_is_refused_before_allocating(
         self, monkeypatch, capsys
@@ -505,7 +531,23 @@ class TestImportFootprint:
         blob = json.dumps(matrix_to_json(identity(prime_field(2), 2)))
         modules = self.loaded(["search", "--s-max", "4"], blob)
         assert "hardmat.circuits" in modules
-        assert not modules & {"hardmat.fppoly", "dataclasses"}
+        assert not modules & {"hardmat.fppoly", "dataclasses", "fractions"}
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["hitting", "rs", "--q", "5", "--k", "2"],
+            ["hard", "finite", "--p", "2", "--n", "2", "--t", "1"],
+        ],
+    )
+    def test_calls_without_rationals_load_no_fractions(self, argv):
+        modules = self.loaded(argv)
+        assert "hardmat.fields" in modules
+        assert "fractions" not in modules
+
+    def test_psd_build_loads_fractions(self):
+        modules = self.loaded(["psd", "build", "--n", "2"])
+        assert "fractions" in modules
 
     def test_gamma_over_an_extension_loads_fppoly(self):
         gf4 = extension_field(2, (1, 1, 1))
@@ -535,3 +577,62 @@ class TestImportFootprint:
         modules = self.loaded(["ssdim", "certify", "--n", "1000", "--d", "2", "--t", "100"])
         assert "mpmath" in modules
         assert "dataclasses" not in modules
+
+
+GOLDEN_CLI = json.loads((Path(__file__).parent / "cli_golden.json").read_text("utf-8"))
+
+# One valid argv per command path.
+VALID_ARGV = [
+    "sidon --n 2 --t 1",
+    "hard finite --p 2 --n 2 --t 1",
+    "hard integers --n 2 --t 2",
+    "hard trivial --n 2",
+    "hard quasipoly --n 3 --c 1.5",
+    "hard amplify --m 2 --in a.json",
+    "ssdim gamma --t 2 --budget 5",
+    "ssdim sigma --t 1",
+    "ssdim bound --s 1 --d 2 --t 3 --n 4",
+    "ssdim certify --n 10 --d 2 --t 3",
+    "hitting vand --n 3 --s 2",
+    "hitting rs --q 5 --k 2",
+    "hitting kernelweight --budget 9",
+    "hitting hit --a [] --b [] --in m.json",
+    "psd build --n 2",
+    "psd refute-sym --n 2 --b b.json",
+    "psd refute-inv --n 2 --b b.json --c c.json --side left-invertible",
+    "circuit parse",
+    "circuit verify --target t.json --circuit c.slc",
+    "circuit emit --out o.slc",
+    "search --s-max 3 --m-max 2",
+]
+
+
+class TestParserBranch:
+    """The parser built for one argv behaves as the parser of every command."""
+
+    @pytest.mark.skipif(
+        "%d.%d" % sys.version_info[:2] != GOLDEN_CLI["python"],
+        reason="argparse's help layout differs between Python versions",
+    )
+    @pytest.mark.parametrize(
+        "case",
+        GOLDEN_CLI["cases"],
+        ids=[" ".join(c["argv"]) or "(none)" for c in GOLDEN_CLI["cases"]],
+    )
+    def test_help_and_usage_errors_are_recorded_bytes(self, case, monkeypatch, capsys):
+        monkeypatch.setenv("COLUMNS", str(GOLDEN_CLI["columns"]))
+        code = main(list(case["argv"]))
+        out = capsys.readouterr()
+        expected = (case["code"], case["stdout"], case["stderr"])
+        assert (code, out.out, out.err) == expected
+
+    def test_every_command_path_has_a_valid_argv(self):
+        leaves = {path for path, _, _, handler in _COMMANDS if handler is not None}
+        paths = {argv.partition(" --")[0] for argv in VALID_ARGV}
+        assert paths == leaves
+
+    @pytest.mark.parametrize("argv", VALID_ARGV)
+    def test_branch_parses_as_the_full_parser(self, argv):
+        argv = argv.split()
+        full = build_parser().parse_args(argv)
+        assert vars(build_parser(argv).parse_args(argv)) == vars(full)

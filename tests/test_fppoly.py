@@ -210,6 +210,16 @@ def test_lex_first_moduli_at_the_benchmark_degrees():
     assert len(g3) == 162 and sum(c * 3**i for i, c in enumerate(g3[:-1])) == 332
 
 
+def test_scan_builds_per_degree_tables_once():
+    # The F_2 squaring masks and the odd-p slot layout depend only on (p, d),
+    # so a scan builds them for its first candidate and reuses them after.
+    for p, d, build in [(2, 512, fppoly._f2_masks), (3, 100, fppoly._fp_layout)]:
+        build.cache_clear()
+        find_irreducible(p, d)
+        info = build.cache_info()
+        assert (info.misses, info.hits > 0) == (1, True)
+
+
 # ---------------------------------------------------------------------------
 # The blocked Ben-Or window and the kernels under it.  For p = 2 the reference
 # is the bitmask Ben-Or loop, otherwise the tuple one.

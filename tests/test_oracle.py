@@ -297,6 +297,85 @@ class TestKernelWeightAgainstSeed:
             assert _outcome(min_kernel_weight, g, budget=size - 1) == expected
 
 
+def _with_unit_columns(g, slots):
+    """g with a column e_i appended for each i in slots: kernel vectors of
+    the result are those of g that vanish at every such slot."""
+    rows = [list(g.row(i)) + [int(i == j) for j in slots] for i in range(g.rows)]
+    return from_rows(g.field, rows)
+
+
+def _random_with_kernel_dim(rng, p, rows, dim):
+    while True:
+        cols = rows - dim
+        entries = tuple(rng.randrange(p) for _ in range(rows * cols))
+        g = ExactMatrix(prime_field(p), rows, cols, entries)
+        if rank(g) == cols:
+            return g
+
+
+class TestKernelWeightLastCoordinate:
+    """The last basis vector is counted, not enumerated: slot by slot."""
+
+    def test_last_basis_vector_with_zero_slots(self):
+        rng = random.Random(4)
+        cases = [
+            _with_unit_columns(rs_generator(RSParams(7, 3)), [0]),
+            _with_unit_columns(rs_generator(RSParams(7, 2)), [0, 6]),
+        ]
+        for p in (2, 3, 5, 7):
+            for dim in (2, 3):
+                rows = rng.randint(dim + 1, 6)
+                cases.append(_random_with_kernel_dim(rng, p, rows, dim))
+        stuck = 0
+        for g in cases:
+            basis = nullspace(transpose(g))
+            assert len(basis) >= 2 and 0 in basis[-1]
+            # a slot that every kernel vector leaves zero
+            stuck += any(not any(b[i] for b in basis) for i in range(g.rows))
+            assert min_kernel_weight(g) == _ref_min_kernel_weight(g)
+        assert stuck >= 2
+
+    def test_dimension_one(self):
+        rng = random.Random(1)
+        cases = [rs_generator(RSParams(q, q - 1)) for q in (3, 5, 7, 13)]
+        cases += [_random_with_kernel_dim(rng, p, 4, 1) for p in (2, 3, 5, 13)]
+        for g in cases:
+            assert len(nullspace(transpose(g))) == 1
+            assert min_kernel_weight(g) == _ref_min_kernel_weight(g)
+        assert [min_kernel_weight(g) for g in cases[:4]] == [3, 5, 7, 13]
+
+    def test_p13_dimensions_4_and_5(self):
+        rng = random.Random(13)
+        cases = [
+            rs_generator(RSParams(13, 9)),
+            _random_with_kernel_dim(rng, 13, 6, 4),
+            _random_with_kernel_dim(rng, 13, 7, 5),
+        ]
+        for g in cases:
+            assert len(nullspace(transpose(g))) in (4, 5)
+            assert min_kernel_weight(g) == _ref_min_kernel_weight(g)
+        assert min_kernel_weight(cases[0]) == 10
+
+    def test_weight_one_exit(self):
+        """Kernels holding a weight-1 vector e_i.  In the reduced echelon
+        basis e_i is itself a basis vector: the last one, or an earlier one
+        found while the walk counts."""
+        rng = random.Random(11)
+        seen = set()
+        for _ in range(300):
+            p = rng.choice((3, 5))
+            rows = rng.randint(3, 5)
+            cols = rng.randint(1, rows - 2)
+            entries = tuple(rng.randrange(p) for _ in range(rows * cols))
+            g = ExactMatrix(prime_field(p), rows, cols, entries)
+            expected = _ref_min_kernel_weight(g)
+            assert min_kernel_weight(g) == expected
+            if expected == 1:
+                basis = nullspace(transpose(g))
+                seen.add(sum(1 for x in basis[-1] if x) == 1)
+        assert seen == {True, False}
+
+
 class TestBenchmarkOutputs:
     """The oracle outputs the benchmark's stdout digests record."""
 
