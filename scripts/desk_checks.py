@@ -7,8 +7,11 @@ hard instances, certified size bounds, the PSD pair invariants, dual-code
 kernel weights, the amplification law pinned by the search oracle, and the
 start-up time of the command-line front end.  Exits 1 if a finite-field
 modulus one size step past the benchmark is not the recorded one, if an
-extension-field quotient fails a * (1/a) = 1, or if RS(13, 7), one size
-step past the benchmark's RS(13, 8), does not show kernel weight k + 1.
+extension-field quotient fails a * (1/a) = 1, if RS(13, 7), one size
+step past the benchmark's RS(13, 8), does not show kernel weight k + 1, or
+if the dense 4x4 F_2 target, one size step past the benchmark's
+upper-triangular search, is not decided as s_min 14 after 271,309,209
+support pairs.
 """
 
 import math
@@ -194,15 +197,25 @@ def main():
             f"{check.size} (verified={check.equal})"
         )
 
-    section("Depth-2 oracle on the 4x4 upper-triangular matrix over F_2")
+    section("Depth-2 oracle on 4x4 targets over F_2")
     ut4 = from_rows(F2, [[int(j >= i) for j in range(4)] for i in range(4)])
-    t_search = time.perf_counter()
-    result = min_depth2_sparsity(ut4, s_max=9, budget=10_000_000)
-    status = "found" if result.s_min is not None else "none"
-    print(
-        f"  s_max=9: status {status}, {result.nodes} support pairs, "
-        f"{time.perf_counter() - t_search:.3f}s"
-    )
+    dense = from_rows(F2, [[1, 1, 1, 0], [1, 0, 1, 1], [0, 1, 1, 1], [1, 1, 0, 1]])
+    for name, target, s_max, budget in [
+        ("upper-triangular", ut4, 9, 10_000_000),
+        ("dense 1110/1011/0111/1101", dense, 14, 3 * 10**8),
+    ]:
+        t_search = time.perf_counter()
+        result = min_depth2_sparsity(target, s_max=s_max, budget=budget)
+        status = "none" if result.s_min is None else f"s_min {result.s_min}"
+        print(
+            f"  {name}, s_max={s_max}: {status}, {result.nodes} support pairs, "
+            f"{time.perf_counter() - t_search:.3f}s"
+        )
+        if target is dense and (result.s_min, result.nodes) != (14, 271_309_209):
+            failures.append(
+                f"dense 4x4 target: s_min {result.s_min} after {result.nodes} "
+                "support pairs, not 14 after 271309209"
+            )
 
     print(f"\nall desk checks done in {time.time() - t0:.1f}s")
     for failure in failures:

@@ -21,12 +21,23 @@ pairs, in that joint order, up to and including the hit; a pair counts
 whether or not it is pruned, except that the pairs of a B support failing
 B's own pruning are skipped uncounted.  Benchmarks pin this count, so it is
 part of the contract.
+
+The search does far less work than that count suggests.  A depth-first walk
+over the rows of the grid generates, in lex order, only the B and C supports
+that pass their own pruning, and gives each C support its lex rank, so a
+pair's place in the count is known without enumerating the pairs before it.
+The C supports are tabled once per (m, |C|) as bitsets, and one AND per
+nonzero row of A picks, for a B support, every tabled C support that shares
+a middle index with it wherever A is nonzero.  Once B's values are fixed the
+columns of C are independent, so values are solved column by column, and
+B's values are tried only with a 1 first in each of B's columns, which the
+first solution in product order always has.
 """
 
 from __future__ import annotations
 
 import re
-from itertools import combinations, product
+from itertools import product
 from math import comb
 
 from . import fields
@@ -362,10 +373,10 @@ def min_depth2_sparsity(
     to and including the hit (all of them when there is none), counted
     whether or not they are pruned; only the pairs of a B support that fails
     B's own pruning go uncounted.  The budget caps ``nodes``: BudgetExceeded
-    is raised on reaching pair budget + 1.  The C supports that pass C's own
-    pruning are tabled once per (m, |C|), so a B support costs one
-    shared-index test per tabled C support, and its other pairs are counted
-    in bulk.
+    is raised on reaching pair budget + 1.
+
+    Only the supports that pass their own pruning are generated (see the
+    module docstring); the pairs of a B support are counted in bulk.
     """
     field = A.field
     if field.kind != KIND_PRIME or field.p > 3:
@@ -390,16 +401,15 @@ def min_depth2_sparsity(
         )
 
     rank_a = rank(A)
-    rows_nonzero = [i for i in range(n) if any(A.row(i))]
-    cols_nonzero = [j for j in range(n) if any(A.col(j))]
-    min_sb = max(rank_a, len(rows_nonzero))
-    min_sc = max(rank_a, len(cols_nonzero))
-    nonzero_entries = [
-        (i, j) for i in range(n) for j in range(n) if A.at(i, j) != 0
-    ]
+    rows_mask = sum(1 << i for i in range(n) if any(A.row(i)))
+    cols_mask = sum(1 << j for j in range(n) if any(A.col(j)))
+    min_sb = max(rank_a, rows_mask.bit_count())
+    min_sc = max(rank_a, cols_mask.bit_count())
     a_flat = A.entries
     values = list(range(1, p))
-    c_tables: dict[tuple[int, int], tuple[int, list]] = {}
+    b_lists: dict[tuple[int, int], list] = {}
+    c_tables: dict[tuple[int, int], _CTable] = {}
+    solved: dict = {}
     nodes = 0
 
     for s in range(s_max + 1):
@@ -410,83 +420,214 @@ def min_depth2_sparsity(
                     continue
                 if s_b > n * m or s_c > m * n:
                     continue
-                for supp_b in combinations(range(n * m), s_b):
-                    b_pos = [divmod(pos, m) for pos in supp_b]  # (i, k)
-                    b_rows = {i for i, _ in b_pos}
-                    if any(i not in b_rows for i in rows_nonzero):
-                        continue
-                    if len({k for _, k in b_pos}) < rank_a:
-                        continue
-                    b_k_by_row = [0] * n
-                    for i, k in b_pos:
-                        b_k_by_row[i] |= 1 << k
-                    table = c_tables.get((m, s_c))
-                    if table is None:
-                        table = c_tables[m, s_c] = _c_table(
-                            n, m, s_c, cols_nonzero, rank_a
-                        )
-                    total, c_supports = table
-                    for idx, c_k_by_col, supp_c in c_supports:
+                b_supports = b_lists.get((m, s_b))
+                if b_supports is None:
+                    b_supports = b_lists[m, s_b] = _supports(
+                        n, m, s_b, rows_mask, 0, 0, rank_a
+                    )
+                if not b_supports:
+                    continue
+                table = c_tables.get((m, s_c))
+                if table is None:
+                    table = c_tables[m, s_c] = _CTable(A, m, s_c, cols_mask, rank_a)
+                for _, b_rows in b_supports:
+                    passing = table.full
+                    for i, meets in table.meets:
+                        passing &= meets[b_rows[i]]
+                    if passing:
+                        b_pos = _cells(b_rows, m)  # (i, k)
+                    while passing:
+                        low = passing & -passing
+                        passing ^= low
+                        idx, c_rows = table.supports[low.bit_length() - 1]
                         if nodes + idx >= cap:
                             raise exceeded()
-                        if any(
-                            not (b_k_by_row[i] & c_k_by_col[j])
-                            for i, j in nonzero_entries
-                        ):
-                            continue
-                        c_pos = [divmod(pos, n) for pos in supp_c]  # (k, j)
+                        c_pos = _cells(c_rows, n)  # (k, j)
                         hit = _assign_values(
-                            a_flat, n, m, p, b_pos, c_pos, values
+                            a_flat, n, m, p, b_pos, c_pos, values, solved
                         )
                         if hit is not None:
-                            witness = _build_witness(
-                                field, n, m, b_pos, c_pos, hit
-                            )
+                            witness = _build_witness(field, n, m, b_pos, c_pos, hit)
                             return SearchResult(
                                 s, witness, nodes + idx + 1, s_max, m_max
                             )
-                    nodes += total
+                    nodes += table.total
                     if nodes > cap:
                         raise exceeded()
     return SearchResult(None, None, nodes, s_max, m_max)
 
 
-def _c_table(n, m, s_c, cols_nonzero, rank_a):
-    """All C supports of size s_c, counted, and those passing C's pruning.
+def _row_masks(width: int) -> list[int]:
+    """Every subset of range(width) as a bitmask, in the order a grid row
+    contributes to the lex order of row-major positions: sorted members
+    compared one by one, a list that ends counting as larger there."""
+    return sorted(
+        range(1 << width),
+        key=lambda r: [k for k in range(width) if r >> k & 1] + [width],
+    )
 
-    Returns ``(total, [(index, c_k_by_col, supp_c), ...])``: index is the
-    support's 0-based position in lex order, and c_k_by_col[j] the bitmask
-    of middle indices k with C[k][j] in the support.
+
+def _supports(rows, width, size, need_rows, need_cols, min_rows, min_cols):
+    """Supports of ``size`` cells in a rows x width grid that pass pruning.
+
+    Returns ``[(index, row_masks), ...]`` in lex order of the cells'
+    row-major positions: ``index`` is the support's 0-based rank among all
+    ``comb(rows * width, size)`` supports, and ``row_masks`` holds one
+    column bitmask per row.  A support passes when every row in the bitmask
+    ``need_rows`` is nonempty, the union of its rows covers the column
+    bitmask ``need_cols``, at least ``min_rows`` rows are nonempty and the
+    union has at least ``min_cols`` columns.  A branch ends as soon as the
+    cells left cannot meet these.
     """
-    kept = []
-    for idx, supp_c in enumerate(combinations(range(m * n), s_c)):
-        c_pos = [divmod(pos, n) for pos in supp_c]  # (k, j)
-        c_cols = {j for _, j in c_pos}
-        if any(j not in c_cols for j in cols_nonzero):
-            continue
-        if len({k for k, _ in c_pos}) < rank_a:
-            continue
-        c_k_by_col = [0] * n
-        for k, j in c_pos:
-            c_k_by_col[j] |= 1 << k
-        kept.append((idx, tuple(c_k_by_col), supp_c))
-    return comb(m * n, s_c), kept
+    order = [(r, r.bit_count()) for r in _row_masks(width)]
+    choices: dict[tuple[int, int, int, int], list] = {}
+
+    def choose(room, left, required, need_after):
+        """The masks a row may take with ``left`` cells to place, ``room``
+        cells after it and ``need_after`` later rows that must be nonempty,
+        each with the cells it leaves and the number of supports that the
+        earlier masks at this row start."""
+        key = (room, left, required, need_after)
+        got = choices.get(key)
+        if got is None:
+            got, offset = [], 0
+            for r, c in order:
+                rest = left - c
+                if 0 <= rest <= room:
+                    if rest >= need_after and (r or not required):
+                        got.append((r, rest, offset))
+                    offset += comb(room, rest)
+            choices[key] = got
+        return got
+
+    out = []
+
+    def extend(i, left, union, nonempty, index, prefix):
+        rows_after = rows - i - 1
+        for r, rest, offset in choose(
+            rows_after * width,
+            left,
+            need_rows >> i & 1,
+            (need_rows >> i + 1).bit_count(),
+        ):
+            u = union | r
+            ne = nonempty + (r != 0)
+            if min_cols and u.bit_count() + rest < min_cols:
+                continue
+            if need_cols and (need_cols & ~u).bit_count() > rest:
+                continue
+            if min_rows and ne + (rest if rest < rows_after else rows_after) < min_rows:
+                continue
+            if rows_after:
+                extend(i + 1, rest, u, ne, index + offset, prefix + (r,))
+            else:
+                out.append((index + offset, prefix + (r,)))
+
+    extend(0, size, 0, 0, 0, ())
+    return out
 
 
-def _assign_values(a_flat, n, m, p, b_pos, c_pos, values):
-    """First value assignment (in product order) making B C = A, or None."""
-    c_by_k: dict[int, list] = {}
-    for idx, (k, j) in enumerate(c_pos):
-        c_by_k.setdefault(k, []).append((j, idx))
-    sb = len(b_pos)
-    for assignment in product(values, repeat=sb + len(c_pos)):
-        acc = [0] * (n * n)
-        for bi, (i, k) in enumerate(b_pos):
-            vb = assignment[bi]
-            for j, ci in c_by_k.get(k, ()):
-                acc[i * n + j] += vb * assignment[sb + ci]
-        if all(x % p == y for x, y in zip(acc, a_flat)):
-            return assignment
+def _cells(row_masks, width) -> list[tuple[int, int]]:
+    """The (row, column) cells of a support given as row bitmasks."""
+    return [
+        (i, k) for i, r in enumerate(row_masks) for k in range(width) if r >> k & 1
+    ]
+
+
+class _CTable:
+    """The C supports (m x n, ``s_c`` cells) that pass C's own pruning.
+
+    ``supports[t]`` is the t-th of them in lex order as ``(index,
+    row_masks)`` (see ``_supports``).  For each nonzero row i of A,
+    ``meets`` holds ``(i, bitsets)``: ``bitsets[r]`` is the set of t whose
+    column j shares a middle index with the B row mask r for every nonzero
+    A[i][j].  A B support's passing set is the AND of these over its rows.
+    """
+
+    def __init__(self, A, m, s_c, cols_mask, rank_a):
+        n = A.rows
+        self.total = comb(m * n, s_c)
+        self.supports = _supports(m, n, s_c, 0, cols_mask, rank_a, 0)
+        self.full = (1 << len(self.supports)) - 1
+        # by_row[k][r]: the t whose row k is the column mask r
+        by_row = [[0] * (1 << n) for _ in range(m)]
+        for t, (_, c_rows) in enumerate(self.supports):
+            for k, r in enumerate(c_rows):
+                by_row[k][r] |= 1 << t
+        # has[j][k]: the t with C[k][j] in the support
+        has = [
+            [sum(x for r, x in enumerate(by_row[k]) if r >> j & 1) for k in range(m)]
+            for j in range(n)
+        ]
+        # hits[j][r]: the t whose column j meets the middle-index mask r
+        hits = []
+        for j in range(n):
+            row = [0] * (1 << m)
+            for r in range(1, 1 << m):
+                low = r & -r
+                row[r] = row[r ^ low] | has[j][low.bit_length() - 1]
+            hits.append(row)
+        self.meets = []
+        for i in range(n):
+            cols = [j for j in range(n) if A.at(i, j) != 0]
+            if cols:
+                bitsets = [self.full] * (1 << m)
+                for r in range(1 << m):
+                    for j in cols:
+                        bitsets[r] &= hits[j][r]
+                self.meets.append((i, bitsets))
+
+
+def _assign_values(a_flat, n, m, p, b_pos, c_pos, values, solved):
+    """First value assignment (in product order) making B C = A, or None.
+
+    Once B's values are fixed, the columns of C are independent, so the
+    product-order first assignment pairs the first B values for which every
+    column is solvable with each column's own first solution.  Scaling
+    column k of B by a unit and row k of C by its inverse keeps B C, so
+    those first B values have a 1 at the first cell of each column of B,
+    and only such B values are tried.  ``solved`` caches a column's first
+    solution by its target and the B columns it meets.
+    """
+    col_cells = [[] for _ in range(n)]  # per column j: (k, position in c_pos)
+    for t, (k, j) in enumerate(c_pos):
+        col_cells[j].append((k, t))
+    a_cols = [a_flat[j::n] for j in range(n)]
+    free, seen = [], set()  # B cells after the first of their column
+    for t, (_, k) in enumerate(b_pos):
+        if k in seen:
+            free.append(t)
+        seen.add(k)
+    b_vals = [1] * len(b_pos)
+    for free_vals in product(values, repeat=len(free)):
+        for t, v in zip(free, free_vals):
+            b_vals[t] = v
+        b_cols = [[0] * n for _ in range(m)]
+        for (i, k), v in zip(b_pos, b_vals):
+            b_cols[k][i] = v
+        c_vals = [0] * len(c_pos)
+        for j, cells in enumerate(col_cells):
+            key = (a_cols[j], *(tuple(b_cols[k]) for k, _ in cells))
+            sol = solved.get(key, False)
+            if sol is False:
+                sol = solved[key] = _solve_column(p, key[0], key[1:], values)
+            if sol is None:
+                break
+            for (_, t), v in zip(cells, sol):
+                c_vals[t] = v
+        else:
+            return (*b_vals, *c_vals)
+    return None
+
+
+def _solve_column(p, target, b_cols, values):
+    """First x (in product order) with sum_k x[k] b_cols[k] = target mod p."""
+    for x in product(values, repeat=len(b_cols)):
+        if all(
+            sum(xk * col[i] for xk, col in zip(x, b_cols)) % p == y
+            for i, y in enumerate(target)
+        ):
+            return x
     return None
 
 

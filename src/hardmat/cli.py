@@ -34,16 +34,24 @@ def _read_text(source: str) -> str:
         return fh.read()
 
 
+def _load_json(text: str, what: str):
+    """Decode JSON input.  Text that does not decode, or nests deeper than
+    the decoder recurses, raises a ValueError whose message starts with
+    ``what``."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        reason = str(exc)
+    except RecursionError:
+        reason = "nested too deeply"
+    raise ValueError(f"{what}: {reason}")
+
+
 def read_matrix(source: str) -> ExactMatrix:
     """Load and fully validate a matrix from a path or stdin ('-')."""
     from .matrices import matrix_from_json
 
-    text = _read_text(source)
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"malformed matrix JSON: {exc}") from exc
-    return matrix_from_json(obj)
+    return matrix_from_json(_load_json(_read_text(source), "malformed matrix JSON"))
 
 
 def _format_bits(x) -> str:
@@ -134,10 +142,7 @@ def _vector_flag(field, flag: str, text: str) -> list:
     """Decode the JSON array of element encodings given to ``flag``."""
     from .fields import decode_element
 
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"{flag}: malformed JSON: {exc}") from None
+    raw = _load_json(text, f"{flag}: malformed JSON")
     if not isinstance(raw, list):
         raise ValueError(f"{flag} must be a JSON array of element encodings")
     vector = []
@@ -157,7 +162,8 @@ def _cmd_sidon(args) -> dict:
     from .sidon import construct_sidon, verify_tsum_distinct
 
     if args.verify:
-        values = _sidon_values(json.loads(_read_text(args.input)))
+        text = _read_text(args.input)
+        values = _sidon_values(_load_json(text, "malformed sidon JSON"))
         return {"t": args.t, "distinct": verify_tsum_distinct(values, args.t)}
     if args.n is None:
         raise ValueError("--n is required unless --verify is given")

@@ -249,23 +249,30 @@ def test_criterion_08_rs_dual_kernel_weight():
 
 
 def test_criterion_09_amplification_law():
+    """s_min(I_2 (x) A) = 2 s_min(A), decided exactly for every 2x2 base A
+    over F_2 and F_3: the doubled search runs up to 2 s_min(A), so it
+    rules out every smaller size, and I_2 (x) (B, C) reaches 2 s_min(A)."""
     with _Clock(9, "block-diagonal doubling exactly doubles the minimal size", 600):
-        ones = from_rows(F2, [[1, 1], [1, 1]])
-        for base in (identity(F2, 2), ones):
-            found = min_depth2_sparsity(base, 2, 6)
-            assert found.s_min == 4
-            doubled = amplify_direct_sum(base, 2)
-            none_result = min_depth2_sparsity(doubled, 4, 7)
-            assert none_result.s_min is None
-            explicit = CircuitFactorization(
-                F2,
-                (
-                    kronecker(identity(F2, 2), found.witness.factors[0]),
-                    kronecker(identity(F2, 2), found.witness.factors[1]),
-                ),
-            )
-            check = verify_factorization(explicit, doubled)
-            assert check.equal and check.size == 8
+        for field in (F2, F3):
+            for entries in product(range(field.p), repeat=4):
+                base = ExactMatrix(field, 2, 2, entries)
+                found = min_depth2_sparsity(base, 2, 6)
+                s_a = found.s_min
+                assert s_a is not None
+                doubled = amplify_direct_sum(base, 2)
+                result = min_depth2_sparsity(doubled, 4, 2 * s_a, budget=10**8)
+                assert result.s_min == 2 * s_a, (field.p, entries)
+                check = verify_factorization(result.witness, doubled)
+                assert check.equal and check.size == 2 * s_a
+                explicit = CircuitFactorization(
+                    field,
+                    (
+                        kronecker(identity(field, 2), found.witness.factors[0]),
+                        kronecker(identity(field, 2), found.witness.factors[1]),
+                    ),
+                )
+                check = verify_factorization(explicit, doubled)
+                assert check.equal and check.size == 2 * s_a
 
 
 def _naive_min_depth2_f2(A):

@@ -116,6 +116,55 @@ class TestExitCodes:
         assert result.payload["error"]["column"] == 5
 
 
+class TestDeeplyNestedJson:
+    """JSON nested past the decoder's recursion limit is a domain error
+    with an error payload, at each of the CLI's JSON inputs."""
+
+    DEEP = "[" * 5000
+
+    def main_error(self, argv, stdin_text, monkeypatch, capsys):
+        monkeypatch.setattr(sys, "stdin", io.StringIO(stdin_text))
+        code = main(argv)
+        return code, json.loads(capsys.readouterr().out)["error"]
+
+    def test_matrix_input(self, monkeypatch, capsys):
+        code, error = self.main_error(
+            ["ssdim", "gamma", "--t", "1"], self.DEEP, monkeypatch, capsys
+        )
+        assert code == 1
+        assert error == {
+            "type": "domain",
+            "message": "malformed matrix JSON: nested too deeply",
+        }
+
+    def test_hitting_vector_flag(self, monkeypatch, capsys):
+        blob = json.dumps(matrix_to_json(identity(prime_field(5), 2)))
+        argv = ["hitting", "hit", "--a", self.DEEP, "--b", '["1","0"]']
+        code, error = self.main_error(argv, blob, monkeypatch, capsys)
+        assert code == 1
+        assert error == {
+            "type": "domain",
+            "message": "--a: malformed JSON: nested too deeply",
+        }
+
+    def test_sidon_verify_input(self, monkeypatch, capsys):
+        code, error = self.main_error(
+            ["sidon", "--t", "1", "--verify"], self.DEEP, monkeypatch, capsys
+        )
+        assert code == 1
+        assert error == {
+            "type": "domain",
+            "message": "malformed sidon JSON: nested too deeply",
+        }
+
+    def test_sidon_verify_decode_error_is_prefixed(self, monkeypatch):
+        result = run(["sidon", "--t", "1", "--verify"], "[1", monkeypatch)
+        assert result.exit_code == 1
+        assert result.payload["error"]["message"] == (
+            "malformed sidon JSON: Expecting ',' delimiter: line 1 column 3 (char 2)"
+        )
+
+
 class TestOversizedInputs:
     """Inputs too large to read or to hold end in a JSON error payload."""
 

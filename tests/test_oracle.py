@@ -1,10 +1,10 @@
 """The depth-2 oracle and the RS kernel weight, differentially.
 
-The seed's ``min_depth2_sparsity`` (one pass over every (B, C) support pair)
-and ``min_kernel_weight`` (all p^dim coefficient combinations) are held here
-as references.  The rewrites must give the same results, the same ``nodes``
-and the same BudgetExceeded messages.  The last class pins the oracle
-outputs the benchmark records.
+The seed's ``min_depth2_sparsity`` (one pass over every (B, C) support pair,
+values assigned in product order) and ``min_kernel_weight`` (all p^dim
+coefficient combinations) are held here as references.  The rewrites must
+give the same results, the same ``nodes`` and the same BudgetExceeded
+messages.  The last class pins the oracle outputs the benchmark records.
 """
 
 import functools
@@ -12,7 +12,8 @@ import io
 import json
 import random
 import sys
-from itertools import combinations
+from itertools import combinations, product
+from math import comb
 
 import pytest
 
@@ -21,6 +22,8 @@ from hardmat.circuits import (
     SearchResult,
     _assign_values,
     _build_witness,
+    _supports,
+    emit_slc,
     min_depth2_sparsity,
 )
 from hardmat.cli import dispatch
@@ -42,8 +45,31 @@ F2 = prime_field(2)
 # The seed's routines, kept as references.
 
 
-def _ref_min_depth2_sparsity(A, m_max=None, s_max=0, budget=None):
-    """Seed min_depth2_sparsity: every C support tested per surviving B."""
+def _ref_assign_values(a_flat, n, m, p, b_pos, c_pos, values):
+    """Seed _assign_values: first assignment in product order, or None."""
+    c_by_k: dict[int, list] = {}
+    for idx, (k, j) in enumerate(c_pos):
+        c_by_k.setdefault(k, []).append((j, idx))
+    sb = len(b_pos)
+    for assignment in product(values, repeat=sb + len(c_pos)):
+        acc = [0] * (n * n)
+        for bi, (i, k) in enumerate(b_pos):
+            vb = assignment[bi]
+            for j, ci in c_by_k.get(k, ()):
+                acc[i * n + j] += vb * assignment[sb + ci]
+        if all(x % p == y for x, y in zip(acc, a_flat)):
+            return assignment
+    return None
+
+
+def _ref_min_depth2_sparsity(A, m_max=None, s_max=0, budget=None, kinds=None):
+    """Seed min_depth2_sparsity: every C support tested per surviving B.
+
+    ``kinds``, when given, receives one ``(block, kind)`` per counted pair:
+    block numbers the B supports that pass B's pruning, and kind is
+    "c-pruned", "unshared", "assigned" (values tried, no hit) or "hit".
+    """
+    block = -1
     field = A.field
     n = A.rows
     if m_max is None:
@@ -81,6 +107,7 @@ def _ref_min_depth2_sparsity(A, m_max=None, s_max=0, budget=None):
                     b_k_by_row = [0] * n
                     for i, k in b_pos:
                         b_k_by_row[i] |= 1 << k
+                    block += 1
                     for supp_c in combinations(range(m * n), s_c):
                         nodes += 1
                         if nodes > cap:
@@ -90,21 +117,26 @@ def _ref_min_depth2_sparsity(A, m_max=None, s_max=0, budget=None):
                             )
                         c_pos = [divmod(pos, n) for pos in supp_c]  # (k, j)
                         c_cols = {j for _, j in c_pos}
+                        kind = "c-pruned"
                         if any(j not in c_cols for j in cols_nonzero):
-                            continue
-                        if len({k for k, _ in c_pos}) < rank_a:
-                            continue
-                        c_k_by_col = [0] * n
-                        for k, j in c_pos:
-                            c_k_by_col[j] |= 1 << k
-                        if any(
-                            not (b_k_by_row[i] & c_k_by_col[j])
-                            for i, j in nonzero_entries
-                        ):
-                            continue
-                        hit = _assign_values(
-                            a_flat, n, m, p, b_pos, c_pos, values
-                        )
+                            pass
+                        elif len({k for k, _ in c_pos}) >= rank_a:
+                            kind = "unshared"
+                            c_k_by_col = [0] * n
+                            for k, j in c_pos:
+                                c_k_by_col[j] |= 1 << k
+                            if all(
+                                b_k_by_row[i] & c_k_by_col[j]
+                                for i, j in nonzero_entries
+                            ):
+                                kind = "assigned"
+                        hit = None
+                        if kind == "assigned":
+                            hit = _ref_assign_values(
+                                a_flat, n, m, p, b_pos, c_pos, values
+                            )
+                        if kinds is not None:
+                            kinds.append((block, kind if hit is None else "hit"))
                         if hit is not None:
                             witness = _build_witness(
                                 field, n, m, b_pos, c_pos, hit
@@ -249,6 +281,220 @@ class TestSearchAgainstSeed:
         for search in (_ref_min_depth2_sparsity, min_depth2_sparsity):
             with pytest.raises(BudgetExceeded, match=f"^{message}$"):
                 search(a, 2, 8, budget=1)
+
+
+def _passes(supp, rows, width, need_rows, need_cols, min_rows, min_cols):
+    cells = [divmod(pos, width) for pos in supp]
+    nonempty = {r for r, _ in cells}
+    union = {c for _, c in cells}
+    return (
+        all(r in nonempty for r in range(rows) if need_rows >> r & 1)
+        and all(c in union for c in range(width) if need_cols >> c & 1)
+        and len(nonempty) >= min_rows
+        and len(union) >= min_cols
+    )
+
+
+def _row_masks_of(supp, rows, width):
+    masks = [0] * rows
+    for pos in supp:
+        masks[pos // width] |= 1 << pos % width
+    return tuple(masks)
+
+
+def _every_budget(search, a, m_max, s_max, nodes):
+    """Outcome of ``search`` at every budget from 1 to nodes + 1."""
+    return [_outcome(search, a, m_max, s_max, b) for b in range(1, nodes + 2)]
+
+
+def _expected_budget_outcomes(result):
+    """A search whose full run counts ``result.nodes`` pairs returns the
+    same result at any budget >= nodes and raises at pair budget + 1 below."""
+    return [
+        (
+            "budget",
+            f"search explored {b + 1} support pairs; budget is {b}",
+        )
+        for b in range(1, result.nodes)
+    ] + [result, result]
+
+
+class TestPrunedEnumeration:
+    """The rewrite generates only the supports that pass pruning, with
+    their lex ranks, and tests each B support against all tabled C
+    supports at once; ``nodes``, witnesses and budgets stay the seed's."""
+
+    def test_supports_are_the_pruned_lex_order(self):
+        rng = random.Random(5)
+        for rows, width in [(1, 1), (1, 3), (2, 2), (2, 3), (3, 2), (3, 3), (2, 4), (4, 2)]:
+            cells = rows * width
+            full_rows, full_cols = (1 << rows) - 1, (1 << width) - 1
+            params = [
+                (0, 0, 0, 0),
+                (full_rows, 0, 0, min(rows, width)),
+                (0, full_cols, min(rows, width), 0),
+                (rng.randrange(1 << rows), rng.randrange(1 << width),
+                 rng.randint(0, rows), rng.randint(0, width)),
+            ]
+            for size in range(cells + 1):
+                for need_rows, need_cols, min_rows, min_cols in params:
+                    expected = [
+                        (idx, _row_masks_of(supp, rows, width))
+                        for idx, supp in enumerate(combinations(range(cells), size))
+                        if _passes(supp, rows, width, need_rows, need_cols,
+                                   min_rows, min_cols)
+                    ]
+                    got = _supports(
+                        rows, width, size, need_rows, need_cols, min_rows, min_cols
+                    )
+                    assert got == expected, (rows, width, size)
+
+    def test_4x4_f2_targets_with_budget(self):
+        rng = random.Random(2024)
+        outcomes = set()
+        for _ in range(12):
+            density = rng.choice((0.2, 0.35, 0.5))
+            a = ExactMatrix(
+                F2, 4, 4, tuple(int(rng.random() < density) for _ in range(16))
+            )
+            m_max, s_max = rng.randint(max(1, rank(a)), 4), rng.randint(6, 9)
+            ref = _outcome(_ref_min_depth2_sparsity, a, m_max, s_max, 100_000)
+            assert _outcome(min_depth2_sparsity, a, m_max, s_max, 100_000) == ref
+            if isinstance(ref, SearchResult):
+                outcomes.add("found" if ref.s_min is not None else "none")
+            else:
+                outcomes.add("budget")
+        assert outcomes == {"found", "none", "budget"}
+
+    def test_f3_targets_with_zero_lines_and_deficient_rank(self):
+        rng = random.Random(33)
+        F3 = prime_field(3)
+        ranks = set()
+        for _ in range(16):
+            u = [[rng.randrange(3) for _ in range(2)] for _ in range(3)]
+            v = [[rng.randrange(3) for _ in range(3)] for _ in range(2)]
+            entries = [
+                sum(u[i][k] * v[k][j] for k in range(2)) % 3
+                for i in range(3)
+                for j in range(3)
+            ]
+            zero_row, zero_col = rng.randrange(3), rng.randrange(3)
+            for t in range(3):
+                entries[zero_row * 3 + t] = 0
+                entries[t * 3 + zero_col] = 0
+            a = ExactMatrix(F3, 3, 3, tuple(entries))
+            ranks.add(rank(a))
+            m_max, s_max = rng.randint(1, 4), rng.randint(3, 8)
+            assert _outcome(min_depth2_sparsity, a, m_max, s_max) == _outcome(
+                _ref_min_depth2_sparsity, a, m_max, s_max
+            )
+        assert ranks == {0, 1, 2}
+
+    def test_m_max_below_n(self):
+        rng = random.Random(8)
+        seen = set()
+        for p, n in [(2, 3), (3, 3), (2, 4), (3, 4)]:
+            for _ in range(3):
+                a = _random_target(rng, p, n)
+                for m_max in range(1, n):
+                    s_max = 7 if n == 4 else 8
+                    ref = _outcome(_ref_min_depth2_sparsity, a, m_max, s_max, 50_000)
+                    got = _outcome(min_depth2_sparsity, a, m_max, s_max, 50_000)
+                    assert got == ref
+                    if m_max < rank(a):  # no middle width is tried
+                        assert ref == SearchResult(None, None, 0, s_max, m_max)
+                        seen.add("below rank")
+                    elif isinstance(ref, SearchResult):
+                        seen.add(ref.s_min is not None)
+        assert seen == {"below rank", True, False}
+
+    def test_every_budget_on_small_searches(self):
+        """At each budget the search returns the full result or raises at
+        pair budget + 1, wherever that pair falls: on a C support pruned by
+        its own rule, on one sharing no middle index with B, on one whose
+        values were tried, on the hit, or inside a B support counted in
+        bulk because no tabled C support passes its test."""
+        rng = random.Random(12)
+        cases = [
+            (from_rows(prime_field(3), [[1, 2, 1], [0, 2, 0], [1, 0, 1]]), 2, 7),
+            (from_rows(F2, [[1, 0, 1], [0, 0, 1], [0, 0, 1]]), 3, 6),
+        ]
+        while len(cases) < 14:
+            p, n = rng.choice([(2, 2), (2, 3), (3, 2), (3, 3)])
+            cases.append((_random_target(rng, p, n), rng.randint(1, 4),
+                          rng.randint(2, 2 * n + 1)))
+        landed = set()
+        for a, m_max, s_max in cases:
+            kinds = []
+            ref = _outcome(
+                _ref_min_depth2_sparsity, a, m_max, s_max, 1200, kinds=kinds
+            )
+            if not isinstance(ref, SearchResult) or not ref.nodes:
+                continue
+            got = _every_budget(min_depth2_sparsity, a, m_max, s_max, ref.nodes)
+            assert got == _expected_budget_outcomes(ref)
+            for b, (block, kind) in enumerate(kinds):  # pair b + 1
+                landed.add(kind)
+                later = {k for blk, k in kinds[b:] if blk == block}
+                if not later & {"assigned", "hit"}:
+                    landed.add("bulk")
+        assert landed == {"c-pruned", "unshared", "assigned", "hit", "bulk"}
+
+    def test_budget_outcomes_of_the_seed(self):
+        """The seed search itself raises at pair budget + 1 below the hit
+        and returns the hit from its pair count on."""
+        a = from_rows(prime_field(3), [[1, 2, 1], [0, 2, 0], [1, 0, 1]])
+        ref = _ref_min_depth2_sparsity(a, 2, 7)
+        assert (ref.s_min, ref.nodes) == (7, 245)
+        assert [
+            _outcome(_ref_min_depth2_sparsity, a, 2, 7, b) for b in range(1, 247)
+        ] == _expected_budget_outcomes(ref)
+
+    def test_dense_4x4_target(self):
+        """The dense F_2 target the seed search needs ~80 s for; result,
+        witness and ``nodes`` as the seed search records them."""
+        a = from_rows(F2, [[1, 1, 1, 0], [1, 0, 1, 1], [0, 1, 1, 1], [1, 1, 0, 1]])
+        result = min_depth2_sparsity(a, s_max=14, budget=3 * 10**8)
+        assert (result.s_min, result.nodes) == (14, 271_309_209)
+        assert emit_slc(result.witness) == (
+            "field prime 2\nlayer 4 4\n1 1 1\n1 2 1\n2 1 1\n2 3 1\n3 1 1\n"
+            "3 4 1\n4 2 1\nend\nlayer 4 4\n1 3 1\n1 4 1\n2 1 1\n2 2 1\n"
+            "2 4 1\n3 1 1\n4 2 1\nend\n"
+        )
+        with pytest.raises(BudgetExceeded, match="^search explored 271309209 "):
+            min_depth2_sparsity(a, s_max=14, budget=271_309_208)
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_assign_values_column_by_column(self, p):
+        """The column-wise solve against the product-order enumerator on
+        random supports, half of them with a target they reach."""
+        rng = random.Random(p)
+        values = list(range(1, p))
+        solved = {}
+        hits = 0
+        for trial in range(300):
+            n, m = rng.randint(1, 4), rng.randint(1, 4)
+            b_supp = sorted(rng.sample(range(n * m), rng.randint(0, min(5, n * m))))
+            c_supp = sorted(rng.sample(range(m * n), rng.randint(0, min(5, m * n))))
+            b_pos = [divmod(pos, m) for pos in b_supp]
+            c_pos = [divmod(pos, n) for pos in c_supp]
+            if trial % 2:
+                b = {cell: rng.choice(values) for cell in b_pos}
+                c = {cell: rng.choice(values) for cell in c_pos}
+                a_flat = tuple(
+                    sum(b.get((i, k), 0) * c.get((k, j), 0) for k in range(m)) % p
+                    for i in range(n)
+                    for j in range(n)
+                )
+            else:
+                a_flat = tuple(rng.randrange(p) for _ in range(n * n))
+            expected = _ref_assign_values(a_flat, n, m, p, b_pos, c_pos, values)
+            assert _assign_values(a_flat, n, m, p, b_pos, c_pos, values, {}) == expected
+            assert _assign_values(a_flat, n, m, p, b_pos, c_pos, values, solved) == (
+                expected
+            )
+            hits += expected is not None
+        assert 150 <= hits < 300
 
 
 def _kernel_cases():
