@@ -98,19 +98,18 @@ def enumeration_budget(override: int | None = None) -> int:
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
 
-def is_prime(n: int, bound: int = PRIMALITY_BOUND) -> bool:
+def is_prime(n: int) -> bool:
     """Deterministic primality: trial division by the first 13 primes, then
     strong probable-prime tests to those 13 bases.
 
-    Exact for every n <= PRIMALITY_BOUND.  Inputs above ``bound`` (or above
-    PRIMALITY_BOUND, where the test is no longer proven) are rejected with
-    BudgetExceeded rather than answered probabilistically.
+    Exact for every n <= PRIMALITY_BOUND.  Larger inputs, where the test is
+    no longer proven, are rejected with BudgetExceeded rather than answered
+    probabilistically.
     """
     if n < 0:
         raise ValueError("primality is defined for nonnegative integers")
-    if n > bound or n > PRIMALITY_BOUND:
-        bound = min(bound, PRIMALITY_BOUND)
-        raise BudgetExceeded(f"{n} exceeds the primality bound {bound}")
+    if n > PRIMALITY_BOUND:
+        raise BudgetExceeded(f"{n} exceeds the primality bound {PRIMALITY_BOUND}")
     if n < 2:
         return False
     for q in _SMALL_PRIMES:

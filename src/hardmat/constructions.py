@@ -12,9 +12,7 @@ from __future__ import annotations
 from math import ceil, isfinite, log2
 
 from .budgets import (
-    IRREDUCIBLE_SCAN_BUDGET,
     MAX_EXPONENT_BITS,
-    SIDON_PRIME_BUDGET,
     TRIVIAL_HARD_CAP,
     BudgetExceeded,
     Record,
@@ -53,31 +51,23 @@ class HardMatrixBundle(Record):
     parameters: dict
 
 
-def univariate_hard(
-    n: int, t: int, prime_budget: int = SIDON_PRIME_BUDGET
-) -> ExponentMatrix:
+def univariate_hard(n: int, t: int) -> ExponentMatrix:
     """Exponent grid from the (n, t) Sidon construction; records max degree."""
-    s = construct_sidon(n, t, prime_budget=prime_budget)
+    s = construct_sidon(n, t)
     delta = max(x for row in s.grid for x in row)
     return ExponentMatrix(n, t, s.grid, delta, s)
 
 
-def hard_over_finite(
-    p: int,
-    n: int,
-    t: int,
-    prime_budget: int = SIDON_PRIME_BUDGET,
-    scan_budget: int = IRREDUCIBLE_SCAN_BUDGET,
-) -> HardMatrixBundle:
+def hard_over_finite(p: int, n: int, t: int) -> HardMatrixBundle:
     """Matrix over F_p[z]/(g) with entries alpha^e[i][j], deg g = 10*t*Delta + 1.
 
     Every exponent is below the extension degree, so each entry's coefficient
     list is a single 1 at index e[i][j]; t-wise products of entries then land
     on distinct powers of alpha and stay linearly independent over F_p.
     """
-    exp = univariate_hard(n, t, prime_budget=prime_budget)
+    exp = univariate_hard(n, t)
     big_d = 10 * t * exp.max_degree
-    modulus = find_irreducible(p, big_d + 1, scan_budget=scan_budget)
+    modulus = find_irreducible(p, big_d + 1)
     field = extension_field(p, modulus)
     degree = field.degree
     flat = []
@@ -92,18 +82,13 @@ def hard_over_finite(
     )
 
 
-def hard_over_integers(
-    n: int,
-    t: int,
-    prime_budget: int = SIDON_PRIME_BUDGET,
-    max_exponent_bits: int = MAX_EXPONENT_BITS,
-) -> HardMatrixBundle:
+def hard_over_integers(n: int, t: int) -> HardMatrixBundle:
     """Integer matrix with entries 2^e[i][j] (the univariate grid at y = 2)."""
-    exp = univariate_hard(n, t, prime_budget=prime_budget)
-    if exp.max_degree > max_exponent_bits:
+    exp = univariate_hard(n, t)
+    if exp.max_degree > MAX_EXPONENT_BITS:
         raise BudgetExceeded(
             f"entry exponent {exp.max_degree} exceeds the bignum cap "
-            f"{max_exponent_bits}"
+            f"{MAX_EXPONENT_BITS}"
         )
     flat = tuple(1 << e for row in exp.exponents for e in row)
     matrix = ExactMatrix(INTEGER_RING, n, n, flat)
@@ -118,13 +103,13 @@ def _trivial_entries(n: int) -> tuple:
     )
 
 
-def trivial_hard(n: int, cap: int = TRIVIAL_HARD_CAP) -> HardMatrixBundle:
+def trivial_hard(n: int) -> HardMatrixBundle:
     """The doubly-exponential matrix with entries 2^(2^((n+1)(i-1)+j))."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    if n > cap:
+    if n > TRIVIAL_HARD_CAP:
         raise BudgetExceeded(
-            f"n={n} exceeds the cap {cap}; entries would have "
+            f"n={n} exceeds the cap {TRIVIAL_HARD_CAP}; entries would have "
             f"2^{(n + 1) * (n - 1) + n} bits"
         )
     matrix = ExactMatrix(INTEGER_RING, n, n, _trivial_entries(n))
@@ -144,7 +129,7 @@ def amplify_direct_sum(A: ExactMatrix, m: int) -> ExactMatrix:
     return kronecker(identity(A.field, m), A)
 
 
-def quasipoly_hard(n: int, c: float, cap: int = TRIVIAL_HARD_CAP) -> HardMatrixBundle:
+def quasipoly_hard(n: int, c: float) -> HardMatrixBundle:
     """Block-diagonal amplification of a polylog-size doubly-exponential block.
 
     The block side k is the smallest divisor of n with
@@ -173,7 +158,7 @@ def quasipoly_hard(n: int, c: float, cap: int = TRIVIAL_HARD_CAP) -> HardMatrixB
             formula = f"ceil(log2({n})^{c})"
             window = f"[{formula}, 2*{formula}]"
         raise ValueError(f"no divisor of {n} lies in {window}")
-    block = trivial_hard(k, cap=cap).matrix
+    block = trivial_hard(k).matrix
     matrix = amplify_direct_sum(block, n // k)
     return HardMatrixBundle(matrix, "quasipoly", {"n": n, "c": c, "k": k})
 

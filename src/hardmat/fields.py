@@ -22,7 +22,7 @@ from contextlib import contextmanager
 from functools import lru_cache
 from math import log10
 
-from .budgets import IRREDUCIBLE_SCAN_BUDGET, MAX_EXPONENT_BITS, Record, is_prime
+from .budgets import MAX_EXPONENT_BITS, Record, is_prime
 
 # ``fppoly`` is imported only where an extension field is used, so calls over
 # prime fields, Q and Z do not load it; ``fractions`` only where a rational is
@@ -126,9 +126,7 @@ RATIONAL_FIELD = FieldDescriptor(KIND_RATIONAL)
 INTEGER_RING = FieldDescriptor(KIND_INTEGER)
 
 
-def find_irreducible(
-    p: int, d: int, scan_budget: int = IRREDUCIBLE_SCAN_BUDGET
-) -> tuple[int, ...]:
+def find_irreducible(p: int, d: int) -> tuple[int, ...]:
     """Deterministic monic irreducible of degree d over F_p.
 
     Enumerates monic candidates with the constant term varying fastest and
@@ -141,7 +139,7 @@ def find_irreducible(
         raise ValueError(f"p must be prime, got {p}")
     from . import fppoly
 
-    return fppoly.find_irreducible_coeffs(p, d, scan_budget)
+    return fppoly.find_irreducible_coeffs(p, d)
 
 
 # ---------------------------------------------------------------------------
@@ -494,7 +492,7 @@ def descriptor_to_json(field: FieldDescriptor) -> dict:
     return {"kind": field.kind}
 
 
-def descriptor_from_json(obj, check_irreducible: bool = True) -> FieldDescriptor:
+def descriptor_from_json(obj) -> FieldDescriptor:
     if not isinstance(obj, dict) or "kind" not in obj:
         raise ValueError("field descriptor must be an object with a 'kind'")
     kind = obj["kind"]
@@ -511,7 +509,7 @@ def descriptor_from_json(obj, check_irreducible: bool = True) -> FieldDescriptor
         field = extension_field(p, modulus)
         if "degree" in obj and _as_int(obj["degree"], "degree") != field.degree:
             raise ValueError("declared degree disagrees with the modulus")
-        if check_irreducible and not field.modulus_is_irreducible():
+        if not field.modulus_is_irreducible():
             raise ValueError("extension modulus is not irreducible")
         return field
     raise ValueError(f"unknown field kind {kind!r}")

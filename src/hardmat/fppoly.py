@@ -460,36 +460,34 @@ def is_irreducible(g: Poly, p: int) -> bool:
     return _irreducible(ring(g, p))
 
 
-def find_irreducible_coeffs(
-    p: int, d: int, scan_budget: int = IRREDUCIBLE_SCAN_BUDGET
-) -> Poly:
+def _digits(p: int, d: int, k: int) -> Poly:
+    """The d base-p digits of k, lowest first."""
+    low, rest = [], k
+    while rest:
+        rest, c = divmod(rest, p)
+        low.append(c)
+    return tuple(low) + (0,) * (d - len(low))
+
+
+def find_irreducible_coeffs(p: int, d: int) -> Poly:
     """First monic irreducible of degree d over F_p in counting order.
 
     Candidates are z^d + c_{d-1} z^{d-1} + ... + c_0 enumerated with the
     constant term varying fastest (the low part read as a base-p counter),
     so the result is the lexicographically-first coefficient tuple in that
-    order.  Deterministic; raises BudgetExceeded after ``scan_budget``
-    candidates.
+    order.  Deterministic; raises BudgetExceeded after
+    IRREDUCIBLE_SCAN_BUDGET candidates.
     """
     if d < 1:
         raise ValueError("degree must be at least 1")
-    if p == 2:
-        for k in range(min(scan_budget, 1 << d)):
+    for k in range(min(IRREDUCIBLE_SCAN_BUDGET, p**d)):
+        if p == 2:
             candidate = _F2Ring((1 << d) | k, d)
-            if _irreducible(candidate):
-                return candidate.unpack(k) + (1,)
-        raise BudgetExceeded(
-            f"no irreducible of degree {d} over F_2 within {scan_budget} candidates"
-        )
-    total = p**d
-    for k in range(min(scan_budget, total)):
-        low, rest = [], k
-        while rest:
-            rest, c = divmod(rest, p)
-            low.append(c)
-        g = tuple(low) + (0,) * (d - len(low)) + (1,)
-        if _irreducible(_FpRing(g, p)):
-            return g
+        else:
+            candidate = _FpRing(_digits(p, d, k) + (1,), p)
+        if _irreducible(candidate):
+            return _digits(p, d, k) + (1,)
     raise BudgetExceeded(
-        f"no irreducible of degree {d} over F_{p} within {scan_budget} candidates"
+        f"no irreducible of degree {d} over F_{p} within "
+        f"{IRREDUCIBLE_SCAN_BUDGET} candidates"
     )

@@ -117,9 +117,19 @@ def vandermonde_vectors(n: int, s: int) -> HittingVectors:
 
 
 def rs_generator(params: RSParams) -> ExactMatrix:
-    """q x k generator of the Reed-Solomon code: row i is powers of i - 1."""
-    field = prime_field(params.q)
-    return vandermonde(field, range(params.q), params.k)
+    """q x k generator of the Reed-Solomon code: row i is powers of i - 1.
+
+    The q * k dense entries are charged against the enumeration budget
+    before any is built.
+    """
+    q, k = params.q, params.k
+    cap = enumeration_budget()
+    if q * k > cap:
+        raise BudgetExceeded(
+            f"{q} x {k} Reed-Solomon generator entries exceed the budget of "
+            f"{cap} dense entries"
+        )
+    return vandermonde(prime_field(q), range(q), k)
 
 
 def rs_vectors(q: int, s: int) -> HittingVectors:
@@ -251,7 +261,7 @@ def _gram(rows: list) -> list:
     return [[sum(map(mul, a, b)) for b in cols] for a in cols]
 
 
-def build_hard_psd(n: int, max_n: int = PSD_MAX_N) -> PsdPair:
+def build_hard_psd(n: int) -> PsdPair:
     """Rank-n/2 PSD matrix annihilating the first n/2 probe vectors.
 
     mtilde = C (V^T)^{-1}, where V's rows are the probes on nodes 1..n and
@@ -266,8 +276,8 @@ def build_hard_psd(n: int, max_n: int = PSD_MAX_N) -> PsdPair:
     """
     if n < 2 or n % 2:
         raise ValueError(f"n must be even and positive, got {n}")
-    if n > max_n:
-        raise BudgetExceeded(f"n={n} exceeds the exact-solve cap {max_n}")
+    if n > PSD_MAX_N:
+        raise BudgetExceeded(f"n={n} exceeds the exact-solve cap {PSD_MAX_N}")
     half = n // 2
     big_l, rows = _lagrange_rows(n, half)
     gram = _gram(rows[half:])

@@ -92,7 +92,7 @@ class SparsityReport(Record):
     col_counts: tuple[int, ...]
 
 
-def from_rows(field: FieldDescriptor, rows, coerce: bool = True) -> ExactMatrix:
+def from_rows(field: FieldDescriptor, rows) -> ExactMatrix:
     """Build a matrix from nested sequences; ints are coerced into the field."""
     rows = [list(r) for r in rows]
     if not rows or not rows[0]:
@@ -104,7 +104,7 @@ def from_rows(field: FieldDescriptor, rows, coerce: bool = True) -> ExactMatrix:
     flat = []
     for r in rows:
         for x in r:
-            if coerce and isinstance(x, int) and not isinstance(x, bool):
+            if isinstance(x, int) and not isinstance(x, bool):
                 x = ops.from_int(x)
             flat.append(x)
     return ExactMatrix(field, len(rows), ncols, tuple(flat))
@@ -344,13 +344,13 @@ def matrix_to_json(A: ExactMatrix) -> dict:
     }
 
 
-def matrix_from_json(obj, check_irreducible: bool = True) -> ExactMatrix:
+def matrix_from_json(obj) -> ExactMatrix:
     if not isinstance(obj, dict):
         raise ValueError("matrix JSON must be an object")
     for key in ("field", "rows", "cols", "entries"):
         if key not in obj:
             raise ValueError(f"matrix JSON is missing {key!r}")
-    field = descriptor_from_json(obj["field"], check_irreducible=check_irreducible)
+    field = descriptor_from_json(obj["field"])
     rows, cols = obj["rows"], obj["cols"]
     for name, v in (("rows", rows), ("cols", cols)):
         if isinstance(v, bool) or not isinstance(v, int) or v < 1:

@@ -29,6 +29,13 @@ class SidonSet(Record):
         return tuple(x for row in self.grid for x in row)
 
 
+def _check_sum_cap(size: int, t: int) -> None:
+    """Refuse the C(size, t) subset sums past SIDON_SUM_CAP."""
+    n_sums = comb(size, t)
+    if n_sums > SIDON_SUM_CAP:
+        raise BudgetExceeded(f"{n_sums} subset sums exceed the cap of {SIDON_SUM_CAP}")
+
+
 def _tsums_distinct(values, t: int) -> bool:
     """All sums of t elements at distinct positions are pairwise distinct.
 
@@ -39,27 +46,18 @@ def _tsums_distinct(values, t: int) -> bool:
     return all(a != b for a, b in zip(sums, sums[1:]))
 
 
-def verify_tsum_distinct(s, t: int, sum_cap: int = SIDON_SUM_CAP) -> bool:
+def verify_tsum_distinct(s, t: int) -> bool:
     """Brute-force check of the defining property; True iff no collision."""
     values = s.elements() if isinstance(s, SidonSet) else tuple(s)
     if t < 1:
         raise ValueError("t must be at least 1")
     if t > len(values):
         raise ValueError(f"t={t} exceeds the set size {len(values)}")
-    n_sums = comb(len(values), t)
-    if n_sums > sum_cap:
-        raise BudgetExceeded(
-            f"{n_sums} subset sums exceed the cap of {sum_cap}"
-        )
+    _check_sum_cap(len(values), t)
     return _tsums_distinct(values, t)
 
 
-def construct_sidon(
-    n: int,
-    t: int,
-    prime_budget: int = SIDON_PRIME_BUDGET,
-    sum_cap: int = SIDON_SUM_CAP,
-) -> SidonSet:
+def construct_sidon(n: int, t: int, prime_budget: int = SIDON_PRIME_BUDGET) -> SidonSet:
     """Smallest-prime t-wise Sidon grid of side n.
 
     Scans primes in increasing order starting just above n^2 (fewer residues
@@ -72,9 +70,7 @@ def construct_sidon(
     size = n * n
     if t < 1 or t > size:
         raise ValueError(f"t must lie in [1, {size}], got {t}")
-    n_sums = comb(size, t)
-    if n_sums > sum_cap:
-        raise BudgetExceeded(f"{n_sums} subset sums exceed the cap of {sum_cap}")
+    _check_sum_cap(size, t)
     p = size + 1
     while p <= prime_budget:
         if is_prime(p):

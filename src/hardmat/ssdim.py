@@ -112,12 +112,7 @@ def gamma_t(
     raise ValueError(f"cannot take the span of {M.field!r} entries over {base!r}")
 
 
-def sigma_t(
-    M: ExactMatrix,
-    t: int,
-    budget: int | None = None,
-    value_cap: int = SIGMA_VALUE_CAP,
-) -> int:
+def sigma_t(M: ExactMatrix, t: int, budget: int | None = None) -> int:
     """Number of distinct sums of nonempty sub-collections of Pi_t values.
 
     The product family is deduplicated to a set of values first; the empty
@@ -127,10 +122,10 @@ def sigma_t(
         raise ValueError("sigma_t is defined for integer matrices")
     fam = pi_t(M, t, budget=budget)
     distinct = fam.distinct_values()
-    if len(distinct) > value_cap:
+    if len(distinct) > SIGMA_VALUE_CAP:
         raise BudgetExceeded(
             f"{len(distinct)} distinct products exceed the subset-sum cap "
-            f"{value_cap}"
+            f"{SIGMA_VALUE_CAP}"
         )
     sums: set = set()
     for v in distinct:

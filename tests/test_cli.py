@@ -231,6 +231,27 @@ class TestOversizedInputs:
         assert code == 3
         assert error["type"] == "budget"
 
+    def test_rs_generator_past_the_budget_is_refused_before_allocating(
+        self, monkeypatch, capsys
+    ):
+        monkeypatch.setenv("HARDMAT_BUDGET", "10")
+        assert main(["hitting", "rs", "--q", "5", "--k", "2"]) == 0  # 10 entries
+        capsys.readouterr()
+        code, error = self.main_payload(
+            ["hitting", "rs", "--q", "5", "--k", "3"], "", monkeypatch, capsys
+        )
+        assert code == 3
+        assert error == {
+            "type": "budget",
+            "message": "5 x 3 Reed-Solomon generator entries exceed the budget "
+            "of 10 dense entries",
+        }
+        monkeypatch.delenv("HARDMAT_BUDGET")
+        code, error = self.main_payload(
+            ["hitting", "rs", "--q", "1000003", "--k", "4"], "", monkeypatch, capsys
+        )
+        assert (code, error["type"]) == (3, "budget")
+
 
 class TestDeterminism:
     def test_byte_identical_stdout(self):

@@ -5,6 +5,7 @@ from math import ceil, log2
 
 import pytest
 
+from hardmat import constructions
 from hardmat.budgets import BudgetExceeded
 from hardmat.constructions import (
     amplify_direct_sum,
@@ -89,9 +90,10 @@ class TestHardOverIntegers:
                 entry = b.matrix.at(i, j)
                 assert entry == 1 << grid[i][j]
 
-    def test_exponent_budget(self):
+    def test_exponent_budget(self, monkeypatch):
+        monkeypatch.setattr(constructions, "MAX_EXPONENT_BITS", 4)
         with pytest.raises(BudgetExceeded):
-            hard_over_integers(2, 2, max_exponent_bits=4)
+            hard_over_integers(2, 2)
 
 
 class TestTrivialHard:

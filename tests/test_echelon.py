@@ -117,7 +117,7 @@ def _ref_solve(A, B):
             row = aug[i]
             for j in range(c, width):
                 row[j] = sub(row[j], mul(x, pivot_row[j]))
-    return from_rows(A.field, [row[n:] for row in aug], coerce=False)
+    return from_rows(A.field, [row[n:] for row in aug])
 
 
 def _ref_nullspace_mod_p(rows, ncols, p):
@@ -237,7 +237,7 @@ class TestAgainstSeed:
             return tuple(rng.randrange(3) for _ in range(3))
 
         for n in (2, 3, 4):
-            a = from_rows(field, [[elem() for _ in range(n)] for _ in range(n)], coerce=False)
+            a = from_rows(field, [[elem() for _ in range(n)] for _ in range(n)])
             assert rank(a) == _ref_rank(field, a.row_lists())
             b = identity(field, n)
             assert _solve_or_error(solve, a, b) == _solve_or_error(_ref_solve, a, b)

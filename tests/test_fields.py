@@ -121,17 +121,12 @@ class TestIsPrime:
         with pytest.raises(ValueError):
             is_prime(-3)
 
-    def test_beyond_bound_rejected_not_guessed(self):
-        with pytest.raises(BudgetExceeded):
-            is_prime(10**13, bound=10**12)
-
     def test_bound_is_psi13_minus_one(self):
         psi13 = 3_317_044_064_679_887_385_961_981
         assert PRIMALITY_BOUND == psi13 - 1
         assert not is_prime(psi13 - 1)  # even: decided at the bound
-        for bound in (PRIMALITY_BOUND, 10**30):  # a larger bound is clipped
-            with pytest.raises(BudgetExceeded, match=f"exceeds the primality bound {psi13 - 1}$"):
-                is_prime(psi13, bound=bound)
+        with pytest.raises(BudgetExceeded, match=f"exceeds the primality bound {psi13 - 1}$"):
+            is_prime(psi13)
 
     def test_decides_past_the_old_trial_division_bound(self):
         assert is_prime(10**12 + 39)
@@ -245,9 +240,10 @@ class TestFindIrreducible:
             h = power(field, h, p)
             assert polyref.gcd(polyref.sub(fppoly.trim(h), (0, 1), p), g, p) == (1,)
 
-    def test_budget_exceeded(self):
+    def test_budget_exceeded(self, monkeypatch):
+        monkeypatch.setattr(fppoly, "IRREDUCIBLE_SCAN_BUDGET", 2)
         with pytest.raises(BudgetExceeded):
-            find_irreducible(2, 64, scan_budget=2)
+            find_irreducible(2, 64)
 
     def test_bad_degree(self):
         with pytest.raises(ValueError):

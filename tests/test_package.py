@@ -1,6 +1,7 @@
 """The package's public names: lazy (PEP 562) exports from the submodules."""
 
 import importlib
+import inspect
 import subprocess
 import sys
 
@@ -23,6 +24,89 @@ def defining_module(name):
     ]
     assert len(owners) == 1, (name, owners)
     return importlib.import_module(f"hardmat.{owners[0]}")
+
+
+# The parameters of every public callable: a record's fields, otherwise its
+# signature (None: the class has no signature of its own).  A new, renamed or
+# dropped keyword shows up here as a diff.
+SIGNATURES = {
+    "BudgetExceeded": None,
+    "CircuitFactorization": "field, factors",
+    "SearchResult": "s_min, witness, nodes, s_max, m_max",
+    "SlcParseError": "message, line, column",
+    "emit_slc": "circuit",
+    "min_depth2_sparsity": "A, m_max, s_max, budget",
+    "parse_slc": "text",
+    "verify_factorization": "circuit, target",
+    "ExponentMatrix": "n, t, exponents, max_degree, source",
+    "HardMatrixBundle": "matrix, provenance, parameters",
+    "amplify_direct_sum": "A, m",
+    "hard_over_finite": "p, n, t",
+    "hard_over_integers": "n, t",
+    "quasipoly_hard": "n, c",
+    "trivial_hard": "n",
+    "univariate_hard": "n, t",
+    "FieldDescriptor": "kind, p, modulus",
+    "extension_field": "p, modulus",
+    "field_arith": "a, b, op, field",
+    "find_irreducible": "p, d",
+    "is_prime": "n",
+    "prime_field": "p",
+    "HittingVectors": "field, n, s, vectors",
+    "PsdPair": "n, mtilde, m, probes",
+    "RefutationVerdict": (
+        "kind, bound, sparsity, witness_entry, "
+        "witness_index, witness_output, value, detail"
+    ),
+    "RSParams": "q, k",
+    "build_hard_psd": "n",
+    "hit_inner": "M, a, b",
+    "min_kernel_weight": "G, budget",
+    "refute_invertible": "Bfac, Cfac, side, pair",
+    "refute_symmetric": "B, pair",
+    "rs_generator": "params",
+    "sparse_row_hit": "r, s, hv",
+    "vandermonde_vectors": "n, s",
+    "ExactMatrix": "field, rows, cols, entries",
+    "SparsityReport": "total, row_counts, col_counts",
+    "kronecker": "A, B",
+    "matmul": "A, B",
+    "rank": "A",
+    "solve": "A, B",
+    "sparsity": "A",
+    "vandermonde": "field, nodes, k",
+    "SidonSet": "n, t, p, grid",
+    "construct_sidon": "n, t, prime_budget",
+    "verify_tsum_distinct": "s, t",
+    "BoundEvaluation": (
+        "s, d, t, n, log2_gamma_upper, log2_sigma_upper, log2_gamma_lower"
+    ),
+    "ProductFamily": "t, values, subset_count",
+    "bound_eval": "s, d, t, n",
+    "certify_depth_d": "n, d, t",
+    "gamma_t": "M, t, base, budget",
+    "pi_t": "M, t, budget",
+    "sigma_t": "M, t, budget",
+}
+
+
+def parameter_names(obj):
+    fields = getattr(obj, "_fields", None)
+    if fields is not None:
+        return ", ".join(fields)
+    try:
+        return ", ".join(inspect.signature(obj).parameters)
+    except ValueError:
+        return None
+
+
+def test_public_signatures_are_recorded():
+    recorded = {
+        name: parameter_names(getattr(hardmat, name))
+        for name in NAMES
+        if callable(getattr(hardmat, name))
+    }
+    assert recorded == SIGNATURES
 
 
 @pytest.mark.parametrize("name", NAMES)

@@ -115,9 +115,10 @@ class TestSigmaT:
             assert sigma_t(trivial_hard(2).matrix, t) == 2 ** comb(4, t) - 1
 
     def test_value_cap(self):
-        m = from_rows(INTEGER_RING, [[1, 2, 4], [8, 16, 32], [64, 128, 256]])
+        m = from_rows(INTEGER_RING, [[2 ** (4 * i + j) for j in range(4)] for i in range(4)])
+        assert len(pi_t(m, 2).distinct_values()) == 29  # past the cap of 22
         with pytest.raises(BudgetExceeded):
-            sigma_t(m, 2, value_cap=10)
+            sigma_t(m, 2)
 
     def test_requires_integers(self):
         with pytest.raises(ValueError):
