@@ -5,7 +5,8 @@ Walks through every construction and check at small parameters and prints
 what it found: Sidon grids and their moduli, exact dimension measures of the
 hard instances, certified size bounds, the PSD pair invariants, dual-code
 kernel weights, the amplification law pinned by the search oracle, and the
-start-up time of the command-line front end.  Exits 1 if a finite-field
+start-up time of the command-line front end next to the bare interpreter.
+Exits 1 if a finite-field
 modulus one size step past the benchmark is not the recorded one, if an
 extension-field quotient fails a * (1/a) = 1, if RS(13, 7), one size
 step past the benchmark's RS(13, 8), does not show kernel weight k + 1, or
@@ -58,11 +59,10 @@ def section(title):
     print(f"\n== {title}")
 
 
-def startup_seconds(args, repeats=5):
-    """Min wall time of ``python -m hardmat <args>`` over fresh interpreters."""
+def startup_seconds(cmd, repeats=5):
+    """Min wall time of ``cmd`` over fresh interpreters."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(hardmat.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
-    cmd = [sys.executable, "-m", "hardmat", *args.split()]
     times = []
     for _ in range(repeats):
         start = time.perf_counter()
@@ -76,9 +76,20 @@ def startup_seconds(args, repeats=5):
 def main():
     t0 = time.time()
 
-    section("CLI start-up")
-    for args in ("--help", "sidon --n 2 --t 1", "psd build --n 2"):
-        print(f"  python -m hardmat {args}: {startup_seconds(args):.3f}s (min of 5)")
+    section("CLI start-up, next to the interpreter floor")
+    floor = [
+        ["-c", "pass"],
+        ["-S", "-c", "pass"],
+        ["-c", "import os; os._exit(0)"],  # no teardown, as hardmat ends
+    ]
+    calls = [["-m", "hardmat", *args.split()] for args in (
+        "--help", "sidon --n 2 --t 1", "psd build --n 2",
+        "ssdim certify --n 1000000 --d 2 --t 31623",
+    )]
+    for args in floor + calls:
+        shown = " ".join(repr(a) if " " in a else a for a in args)
+        seconds = startup_seconds([sys.executable, *args])
+        print(f"  python {shown}: {seconds:.3f}s (min of 5)")
 
     section("Sidon grids (smallest prime witness per order)")
     for n, t in [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3)]:
@@ -150,7 +161,10 @@ def main():
     n = 10**6
     for d, t in [(2, math.ceil(n**0.75)), (3, math.ceil(n ** (5 / 6)))]:
         s_star = certify_depth_d(n, d, t)
-        print(f"  d={d} t={t}: every depth-{d} circuit needs size > {s_star}")
+        print(
+            f"  d={d} t={t}: every depth-{d} circuit needs size > {s_star} "
+            f"(re-checked exactly at s* and s* + 1)"
+        )
 
     section("Hard PSD pair (rank n/2, first n/2 probes annihilated)")
     for side in (2, 4, 8, 16, 64):

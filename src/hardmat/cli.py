@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from collections import namedtuple
 
@@ -21,7 +22,7 @@ from . import __version__
 # ``budgets``: dispatch imports it after parsing).  Annotations
 # stay unevaluated strings, so they may name types of modules not yet loaded.
 
-__all__ = ["CommandResult", "dispatch", "read_matrix", "main"]
+__all__ = ["CommandResult", "dispatch", "read_matrix", "main", "console_main"]
 
 #: exit_code is 0 success, 1 domain error, 2 usage error, 3 budget.
 CommandResult = namedtuple("CommandResult", "exit_code payload provenance")
@@ -566,5 +567,25 @@ def main(argv=None) -> int:
     return result.exit_code
 
 
+def console_main() -> None:
+    """Entry point of the ``hardmat`` command: run :func:`main`, then end the
+    process without interpreter teardown.
+
+    Both streams are flushed first; a stream closed at start is ``None`` and
+    skipped.  If a flush fails (stdout is a closed pipe, a full disk),
+    ``sys.exit`` hands the failure to the interpreter, which reports it as
+    it always has.  ``os._exit`` skips ``atexit`` hooks and module teardown,
+    so nothing registered by another package runs after the answer.
+    """
+    code = main()
+    for stream in (sys.stdout, sys.stderr):
+        if stream is not None:
+            try:
+                stream.flush()
+            except OSError:
+                sys.exit(code)
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    console_main()

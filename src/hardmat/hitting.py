@@ -108,12 +108,32 @@ class RefutationVerdict(Record):
     detail: str = ""
 
 
+def _powers(n: int, s: int) -> tuple:
+    return tuple(tuple(i**j for j in range(n)) for i in range(1, s + 1))
+
+
 def vandermonde_vectors(n: int, s: int) -> HittingVectors:
-    """The s probe vectors (1, i, i^2, ..., i^(n-1)) for i = 1..s, over Q."""
+    """The s probe vectors (1, i, i^2, ..., i^(n-1)) for i = 1..s, over Q.
+
+    An upper bound on their printed digits is charged against the
+    enumeration budget before any entry is built: i^j has at most
+    1 + j * bit_length(i) * log10(2) digits, and log10(2) < 0.30103.
+    """
     if not 1 <= s <= n:
         raise ValueError(f"s must lie in [1, {n}], got {s}")
-    vectors = tuple(tuple(i**j for j in range(n)) for i in range(1, s + 1))
-    return HittingVectors(RATIONAL_FIELD, n, s, vectors)
+    # sum of bit_length(i) over i <= s; i of bit length b run from 2^(b-1)
+    # to 2^b - 1, or to s for the last b
+    bits = sum(
+        b * (min(s, 2**b - 1) - 2 ** (b - 1) + 1) for b in range(1, s.bit_length() + 1)
+    )
+    digits = n * s + 30103 * (n * (n - 1) // 2) * bits // 100000
+    cap = enumeration_budget()
+    if digits > cap:
+        raise BudgetExceeded(
+            f"{s} Vandermonde probe vectors of length {n} take up to {digits} "
+            f"printed digits, past the budget of {cap}"
+        )
+    return HittingVectors(RATIONAL_FIELD, n, s, _powers(n, s))
 
 
 def rs_generator(params: RSParams) -> ExactMatrix:
@@ -281,7 +301,7 @@ def build_hard_psd(n: int) -> PsdPair:
     half = n // 2
     big_l, rows = _lagrange_rows(n, half)
     gram = _gram(rows[half:])
-    nodes = vandermonde_vectors(n, n).vectors
+    nodes = _powers(n, n)  # PSD_MAX_N bounds them; no digit charge
     if any(gram[a][b] != gram[b][a] for a in range(n) for b in range(a)):
         raise RuntimeError("psd construction: m is not symmetric")
     for r, row in enumerate(rows):

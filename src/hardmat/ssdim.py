@@ -10,10 +10,12 @@ extension E of a base field F:
 
 A matrix that factors into d sparse layers of total sparsity s has
 log2 gamma_t at most d*t*(log2 e + log2(2s/(d*t))); matrices built from
-Sidon exponent grids meet t*log2(n^2/t) from below.  Comparing the two in
-log space certifies a concrete size bound for every depth-d factorization.
-Bound arithmetic runs at 128-bit mantissa precision in mpmath, which is
-imported only by the functions that need it.
+Sidon exponent grids meet t*log2(n^2/t) from below.  Comparing the two
+certifies a concrete size bound for every depth-d factorization; the
+comparison is decided exactly in integers.  The printed bound quantities run
+at 128-bit mantissa precision in mpmath.  mpmath, ``fields`` and ``matrices``
+are imported only by the functions that need them, so certifying loads none
+of them.
 """
 
 from __future__ import annotations
@@ -22,15 +24,6 @@ from itertools import combinations
 from math import comb
 
 from .budgets import SIGMA_VALUE_CAP, BudgetExceeded, Record, enumeration_budget
-from .fields import (
-    KIND_EXTENSION,
-    KIND_INTEGER,
-    KIND_PRIME,
-    KIND_RATIONAL,
-    FieldDescriptor,
-    ops_for,
-)
-from .matrices import ExactMatrix, _rank_rows
 
 __all__ = [
     "ProductFamily",
@@ -70,6 +63,8 @@ class BoundEvaluation(Record):
 
 def pi_t(M: ExactMatrix, t: int, budget: int | None = None) -> ProductFamily:
     """Products over all t-subsets of entry positions (positions, not values)."""
+    from .fields import ops_for
+
     positions = M.rows * M.cols
     if t < 1 or t > positions:
         raise ValueError(f"t must lie in [1, {positions}], got {t}")
@@ -95,6 +90,12 @@ def gamma_t(
     Extension-field entries are expanded into coefficient vectors over the
     prime base; entries already in the base field span at most a line.
     """
+    # A module global, as a top-level import would bind it: span tracers
+    # that patch module attributes find a private helper where it is bound.
+    global _rank_rows
+    from .fields import KIND_EXTENSION, KIND_INTEGER, KIND_PRIME, KIND_RATIONAL, ops_for
+    from .matrices import _rank_rows
+
     fam = pi_t(M, t, budget=budget)
     distinct = fam.distinct_values()
     kind = M.field.kind
@@ -118,6 +119,8 @@ def sigma_t(M: ExactMatrix, t: int, budget: int | None = None) -> int:
     The product family is deduplicated to a set of values first; the empty
     sum is not counted.
     """
+    from .fields import KIND_INTEGER
+
     if M.field.kind != KIND_INTEGER:
         raise ValueError("sigma_t is defined for integer matrices")
     fam = pi_t(M, t, budget=budget)
@@ -184,31 +187,60 @@ def bound_eval(s: int, d: int, t: int, n: int) -> BoundEvaluation:
     return BoundEvaluation(s, d, t, n, g_up, s_up, g_low)
 
 
+def _degenerate(n: int, d: int, t: int) -> ValueError:
+    return ValueError(
+        f"degenerate parameters: no size >= {d * t} is certified for "
+        f"n={n}, d={d}, t={t}"
+    )
+
+
 def certify_depth_d(n: int, d: int, t: int) -> int:
     """Largest s for which the sparse-product bound stays below the Sidon bound.
 
     Any depth-d factorization of a matrix with gamma_t >= (n^2/t)^t must have
-    total sparsity strictly greater than the returned s*.  Found by monotone
-    binary search in log space; raises if even s = d*t fails.
+    total sparsity strictly greater than the returned s*.  Found by doubling
+    and bisection on an exact integer comparison, and re-checked at s* and
+    s* + 1 before it is returned; raises if even s = d*t fails.
     """
     _check_bound_params(d * t, d, t, n)
-    from mpmath import mp
+    lo = d * t
+    # At s = d*t the comparison is (2e)^d * t < n^2; since e > 2 it fails
+    # whenever 4^d >= n^2, which settles a large d before any large power.
+    if 2 * d >= (n * n).bit_length():
+        raise _degenerate(n, d, t)
+    rhs = n * n * (d * t) ** d
+    k, num, den = 1, 2, 1  # num / den = sum_{j<=k} 1/j!
 
-    with mp.workprec(WORKING_PRECISION):
-        lower = _log2_gamma_lower(t, n)
-        lo = d * t
-        if not _log2_gamma_upper(lo, d, t) < lower:
-            raise ValueError(
-                f"degenerate parameters: no size >= {lo} is certified for "
-                f"n={n}, d={d}, t={t}"
-            )
-        hi = lo
-        while _log2_gamma_upper(hi, d, t) < lower:
-            hi *= 2
-        while hi - lo > 1:
-            mid = (lo + hi) // 2
-            if _log2_gamma_upper(mid, d, t) < lower:
-                lo = mid
-            else:
-                hi = mid
+    def certified(s: int) -> bool:
+        """Exactly whether d*t*log2(2e*s/(d*t)) < t*log2(n^2/t), which
+        without logarithms reads (2e*s)^d * t < n^2 * (d*t)^d.
+
+        e lies strictly between num/den and num/den + 2/(k+1)!; k grows only
+        while the two ends disagree, and stays grown for later comparisons,
+        which the search brings ever closer to the boundary.  The ends agree
+        for some k because e^d is irrational, so the two sides never tie.
+        """
+        nonlocal k, num, den
+        lhs = (2 * s) ** d * t  # times e^d
+        while True:
+            if num**d * lhs >= rhs * den**d:
+                return False
+            if (num * (k + 1) + 2) ** d * lhs <= rhs * (den * (k + 1)) ** d:
+                return True
+            k += 1
+            num, den = num * k + 1, den * k
+
+    if not certified(lo):
+        raise _degenerate(n, d, t)
+    hi = lo
+    while certified(hi):
+        hi *= 2
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if certified(mid):
+            lo = mid
+        else:
+            hi = mid
+    if not certified(lo) or certified(lo + 1):
+        raise RuntimeError(f"s* = {lo} failed its exact re-check")
     return lo

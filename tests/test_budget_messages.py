@@ -34,6 +34,9 @@ ROWS = [
      "29 distinct products exceed the subset-sum cap 22"),
     ("kernel vectors", {}, "min_kernel_weight(rs_generator(RSParams(11, 1)), budget=1000)",
      "kernel has 11^10 vectors, budget is 1000"),
+    ("vandermonde digits", {}, "vandermonde_vectors(400, 400)",
+     "400 Vandermonde probe vectors of length 400 take up to 74580757 printed "
+     "digits, past the budget of 1000000"),
     ("psd side", {}, "build_hard_psd(66)",
      "n=66 exceeds the exact-solve cap 64"),
     ("trivial side", {}, "trivial_hard(5)",

@@ -2,6 +2,8 @@
 
 import io
 import json
+import os
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -643,10 +645,26 @@ class TestImportFootprint:
         assert "hardmat.ssdim" in modules
         assert not modules & {"mpmath", "hardmat.fppoly", "dataclasses"}
 
-    def test_certify_loads_mpmath(self):
+    def test_certify_loads_no_mpmath(self):
         modules = self.loaded(["ssdim", "certify", "--n", "1000", "--d", "2", "--t", "100"])
+        assert "hardmat.ssdim" in modules
+        assert not modules & {"mpmath", "dataclasses"}
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["ssdim", "certify", "--n", "1000", "--d", "2", "--t", "100"],
+            ["ssdim", "bound", "--s", "100", "--d", "2", "--t", "3", "--n", "10"],
+        ],
+    )
+    def test_certify_and_bound_load_neither_fields_nor_matrices(self, argv):
+        modules = self.loaded(argv)
+        assert "hardmat.ssdim" in modules
+        assert not modules & {"hardmat.fields", "hardmat.matrices"}
+
+    def test_bound_loads_mpmath(self):
+        modules = self.loaded(["ssdim", "bound", "--s", "100", "--d", "2", "--t", "3", "--n", "10"])
         assert "mpmath" in modules
-        assert "dataclasses" not in modules
 
 
 GOLDEN_CLI = json.loads((Path(__file__).parent / "cli_golden.json").read_text("utf-8"))
@@ -691,6 +709,7 @@ class TestParserBranch:
     )
     def test_help_and_usage_errors_are_recorded_bytes(self, case, monkeypatch, capsys):
         monkeypatch.setenv("COLUMNS", str(GOLDEN_CLI["columns"]))
+        monkeypatch.delenv("HARDMAT_BUDGET", raising=False)
         code = main(list(case["argv"]))
         out = capsys.readouterr()
         expected = (case["code"], case["stdout"], case["stderr"])
@@ -706,3 +725,115 @@ class TestParserBranch:
         argv = argv.split()
         full = build_parser().parse_args(argv)
         assert vars(build_parser(argv).parse_args(argv)) == vars(full)
+
+
+class TestHardExit:
+    """Every entry point ends through cli.console_main: streams flushed, then
+    os._exit without interpreter teardown, and no byte or status lost."""
+
+    SIDON = ["sidon", "--n", "2", "--t", "1"]
+
+    def hardmat(self, argv, module="hardmat", env=(), **kwargs):
+        full_env = {
+            k: v
+            for k, v in os.environ.items()
+            if k not in ("HARDMAT_BUDGET", "PYTHONUNBUFFERED")
+        }
+        full_env["COLUMNS"] = str(GOLDEN_CLI["columns"])
+        full_env.update(env)
+        cmd = [sys.executable, "-m", module, *argv]
+        return subprocess.run(cmd, env=full_env, **kwargs)
+
+    @pytest.mark.skipif(
+        "%d.%d" % sys.version_info[:2] != GOLDEN_CLI["python"],
+        reason="argparse's help layout differs between Python versions",
+    )
+    @pytest.mark.parametrize("module", ["hardmat", "hardmat.cli"])
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "sidon --n 2 --t 1",  # 0, payload
+            "--help",  # 0, help
+            "hard quasipoly --n 3 --c 1000",  # 1, domain error
+            "--bogus",  # 2, usage error
+            "hitting rs --q 1000003 --k 4",  # 3, budget
+        ],
+    )
+    def test_each_exit_code_keeps_the_recorded_bytes(self, argv, module):
+        case = next(c for c in GOLDEN_CLI["cases"] if c["argv"] == argv.split())
+        proc = self.hardmat(argv.split(), module, capture_output=True, text=True)
+        expected = (case["code"], case["stdout"], case["stderr"])
+        assert (proc.returncode, proc.stdout, proc.stderr) == expected
+
+    def test_closed_pipe_is_reported_by_the_interpreter(self):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = self.hardmat(self.SIDON, stdout=write_end, stderr=subprocess.PIPE, text=True)
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 120
+        assert "Exception ignored" in proc.stderr
+        assert "BrokenPipeError" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_closed_pipe_unbuffered_raises_in_print(self):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = self.hardmat(
+                self.SIDON,
+                env={"PYTHONUNBUFFERED": "1"},
+                stdout=write_end,
+                stderr=subprocess.PIPE,
+                text=True,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 1
+        assert "Traceback" in proc.stderr
+        assert proc.stderr.endswith("BrokenPipeError: [Errno 32] Broken pipe\n")
+
+    def test_stdout_closed_at_start_exits_zero(self):
+        cmd = shlex.join([sys.executable, "-m", "hardmat", *self.SIDON]) + " >&-"
+        env = {k: v for k, v in os.environ.items() if k != "HARDMAT_BUDGET"}
+        proc = subprocess.run(cmd, shell=True, env=env, stderr=subprocess.PIPE, text=True)
+        assert proc.returncode == 0
+        assert proc.stderr.startswith('{"operation":"sidon",')
+
+    def test_emit_out_writes_the_whole_file(self, tmp_path):
+        # one 1 x 20000 layer: ~190 KB of text, past every stream buffer
+        lines = "".join(f"1 {j} {1 + j % 4}\n" for j in range(1, 20001))
+        src = tmp_path / "wide.slc"
+        src.write_text(f"field prime 5\nlayer 1 20000\n{lines}end\n", encoding="utf-8")
+        out = tmp_path / "out.slc"
+        proc = self.hardmat(
+            ["circuit", "emit", "--in", str(src), "--out", str(out)],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 0
+        text = json.loads(proc.stdout)["slc"]
+        assert len(text) > 150_000
+        assert out.read_text(encoding="utf-8") == text
+
+    def test_no_atexit_hook_runs_after_the_answer(self):
+        script = (
+            "import atexit, sys\n"
+            "atexit.register(print, 'teardown ran', file=sys.stderr)\n"
+            "sys.argv = ['hardmat', 'sidon', '--n', '2', '--t', '1']\n"
+            "from hardmat.cli import console_main\n"
+            "console_main()\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True
+        )
+        assert proc.returncode == 0
+        assert proc.stdout == '{"n":2,"t":1,"p":5,"grid":[[1,2],[4,3]]}\n'
+        assert "teardown ran" not in proc.stderr
+
+    def test_console_script_ends_through_console_main(self):
+        tomllib = pytest.importorskip("tomllib")
+        pyproject = Path(__file__).parent.parent / "pyproject.toml"
+        scripts = tomllib.loads(pyproject.read_text("utf-8"))["project"]["scripts"]
+        assert scripts == {"hardmat": "hardmat.cli:console_main"}

@@ -19,6 +19,8 @@ from hardmat.fields import (
 )
 from hardmat.matrices import ExactMatrix, from_rows, identity, matmul
 from hardmat.ssdim import (
+    WORKING_PRECISION,
+    _log2_gamma_lower,
     _log2_gamma_upper,
     bound_eval,
     certify_depth_d,
@@ -186,6 +188,77 @@ class TestCertify:
         # bound smaller than that
         with pytest.raises(ValueError):
             certify_depth_d(2, 2, 1)  # lower = log2(4) = 2 < 4*log2(2e)
+
+    def test_huge_depth_is_degenerate_without_huge_powers(self):
+        message = "degenerate parameters: no size >= 1000000000000 is certified"
+        with pytest.raises(ValueError, match=message):
+            certify_depth_d(10, 10**12, 1)
+
+
+def mpmath_certify(n, d, t):
+    """The reference: the 128-bit mpmath log-space search that certify_depth_d
+    ran before it decided each comparison exactly."""
+    with mp.workprec(WORKING_PRECISION):
+        lower = _log2_gamma_lower(t, n)
+        lo = d * t
+        if not _log2_gamma_upper(lo, d, t) < lower:
+            raise ValueError(
+                f"degenerate parameters: no size >= {lo} is certified for "
+                f"n={n}, d={d}, t={t}"
+            )
+        hi = lo
+        while _log2_gamma_upper(hi, d, t) < lower:
+            hi *= 2
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if _log2_gamma_upper(mid, d, t) < lower:
+                lo = mid
+            else:
+                hi = mid
+    return lo
+
+
+def outcome(fn, n, d, t):
+    try:
+        return fn(n, d, t)
+    except ValueError as exc:
+        return str(exc)
+
+
+class TestCertifyAgainstMpmath:
+    """Exact s* equals the mpmath search's, degenerate messages included."""
+
+    def test_recorded_values(self):
+        assert certify_depth_d(10**6, 2, 31623) == 65419474
+        assert certify_depth_d(10**6, 3, 100) == 118885
+        assert mpmath_certify(10**6, 2, 31623) == 65419474
+
+    def test_seeded_cases(self):
+        rng = random.Random(20191)
+        cases = [(10**6, 2, 31623), (10**6, 3, 100), (2, 2, 1), (10, 1, 25)]
+        while len(cases) < 420:
+            n = int(10 ** rng.uniform(0.3, 8))
+            if n < 2:
+                continue
+            t = max(1, int((n * n // 4) ** rng.random()))
+            cases.append((n, rng.randint(1, 8), t))
+        degenerate = 0
+        for n, d, t in cases:
+            expected = outcome(mpmath_certify, n, d, t)
+            assert outcome(certify_depth_d, n, d, t) == expected, (n, d, t)
+            degenerate += isinstance(expected, str)
+        # both kinds of outcome are well represented
+        assert 50 < degenerate < len(cases) - 200
+
+    @pytest.mark.parametrize("n, d, t", [(10**40, 2, 10**20), (10**60, 3, 10**30)])
+    def test_exact_past_the_reference_precision(self, n, d, t):
+        # s* has more digits than 128 bits resolve; check it at 1024 bits
+        s_star = certify_depth_d(n, d, t)
+        assert s_star.bit_length() > WORKING_PRECISION
+        with mp.workprec(1024):
+            lower = _log2_gamma_lower(t, n)
+            assert _log2_gamma_upper(s_star, d, t) < lower
+            assert _log2_gamma_upper(s_star + 1, d, t) >= lower
 
 
 class TestExecutableUpperBound:
