@@ -3,8 +3,10 @@
 Every brute-force surface (subset enumeration, prime search, candidate
 polynomial scan, ...) is guarded by an explicit budget.  Hitting a budget
 raises :class:`BudgetExceeded`, which callers must treat as "unknown", never
-as a negative answer.  The generic enumeration cap can be overridden with the
-``HARDMAT_BUDGET`` environment variable.
+as a negative answer.  :func:`charge` is the one place that compares work
+with a cap and raises; the message is formatted only on refusal.  The
+generic enumeration cap can be overridden with the ``HARDMAT_BUDGET``
+environment variable.
 
 The module also holds the two dependency-free helpers every layer needs:
 :func:`is_prime`, exact up to :data:`PRIMALITY_BOUND`, and :class:`Record`,
@@ -29,6 +31,8 @@ __all__ = [
     "PSD_MAX_N",
     "PRIMALITY_BOUND",
     "MAX_EXPONENT_BITS",
+    "CERTIFY_BITS_CAP",
+    "charge",
     "enumeration_budget",
     "Record",
     "FrozenRecordError",
@@ -71,6 +75,10 @@ PRIMALITY_BOUND = 3_317_044_064_679_887_385_961_981 - 1
 #: Cap on a single exponent (in bits) for integer hard-matrix entries.
 MAX_EXPONENT_BITS = 10**7
 
+#: Cap on the bits of n^2 * (d*t)^d in an exact s* certificate; at the cap
+#: one certificate takes at most ~0.2 s (py3.11, one core).
+CERTIFY_BITS_CAP = 4096
+
 
 def enumeration_budget(override: int | None = None) -> int:
     """Resolve the generic enumeration budget.
@@ -94,6 +102,19 @@ def enumeration_budget(override: int | None = None) -> int:
     return value
 
 
+def charge(used: int, message: str, cap: int | None = None, **fields) -> None:
+    """Refuse work past a cap: raise BudgetExceeded when ``used > cap``.
+
+    ``cap=None`` means the enumeration budget; an explicit cap is compared
+    as given.  ``message`` is a ``str.format`` template over ``used``,
+    ``cap`` and ``fields``, formatted only on refusal.
+    """
+    if cap is None:
+        cap = enumeration_budget()
+    if used > cap:
+        raise BudgetExceeded(message.format(used=used, cap=cap, **fields))
+
+
 # The first 13 primes: trial divisors and Miller-Rabin bases of is_prime.
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
@@ -108,8 +129,7 @@ def is_prime(n: int) -> bool:
     """
     if n < 0:
         raise ValueError("primality is defined for nonnegative integers")
-    if n > PRIMALITY_BOUND:
-        raise BudgetExceeded(f"{n} exceeds the primality bound {PRIMALITY_BOUND}")
+    charge(n, "{used} exceeds the primality bound {cap}", PRIMALITY_BOUND)
     if n < 2:
         return False
     for q in _SMALL_PRIMES:

@@ -41,7 +41,7 @@ from itertools import product
 from math import comb
 
 from . import fields
-from .budgets import BudgetExceeded, Record, enumeration_budget
+from .budgets import Record, charge, enumeration_budget
 from .fields import (
     INTEGER_RING,
     KIND_EXTENSION,
@@ -208,6 +208,12 @@ def _parse_value(field: FieldDescriptor, token: str, line: int, col: int):
         raise SlcParseError(str(exc), line, col) from exc
 
 
+_LAYER_BUDGET = (
+    "line {line}: a {rows} x {cols} layer takes the circuit past the budget of "
+    "{cap} dense entries"
+)
+
+
 def parse_slc(text: str) -> CircuitFactorization:
     """Parse circuit text; every malformed input is a located SlcParseError.
 
@@ -250,11 +256,7 @@ def parse_slc(text: str) -> CircuitFactorization:
                     col0,
                 )
             entries += rows * cols
-            if entries > cap:
-                raise BudgetExceeded(
-                    f"line {line_no}: a {rows} x {cols} layer takes the circuit "
-                    f"past the budget of {cap} dense entries"
-                )
+            charge(entries, _LAYER_BUDGET, cap, line=line_no, rows=rows, cols=cols)
             current = {
                 "rows": rows,
                 "cols": cols,
@@ -353,6 +355,11 @@ def verify_factorization(
     return VerificationResult(mismatch is None, circuit.size, prod, mismatch)
 
 
+# Both refusal points name pair cap + 1, the first pair past the budget,
+# although the bulk count of a B support's pairs may already pass it.
+_EXPLORED = "search explored {explored} support pairs; budget is {cap}"
+
+
 def min_depth2_sparsity(
     A: ExactMatrix,
     m_max: int | None = None,
@@ -394,12 +401,6 @@ def min_depth2_sparsity(
         raise ValueError("s_max must be nonnegative")
     p = field.p
     cap = enumeration_budget(budget)
-
-    def exceeded():
-        return BudgetExceeded(
-            f"search explored {cap + 1} support pairs; budget is {cap}"
-        )
-
     rank_a = rank(A)
     rows_mask = sum(1 << i for i in range(n) if any(A.row(i)))
     cols_mask = sum(1 << j for j in range(n) if any(A.col(j)))
@@ -440,8 +441,7 @@ def min_depth2_sparsity(
                         low = passing & -passing
                         passing ^= low
                         idx, c_rows = table.supports[low.bit_length() - 1]
-                        if nodes + idx >= cap:
-                            raise exceeded()
+                        charge(nodes + idx + 1, _EXPLORED, cap, explored=cap + 1)
                         c_pos = _cells(c_rows, n)  # (k, j)
                         hit = _assign_values(
                             a_flat, n, m, p, b_pos, c_pos, values, solved
@@ -452,8 +452,7 @@ def min_depth2_sparsity(
                                 s, witness, nodes + idx + 1, s_max, m_max
                             )
                     nodes += table.total
-                    if nodes > cap:
-                        raise exceeded()
+                    charge(nodes, _EXPLORED, cap, explored=cap + 1)
     return SearchResult(None, None, nodes, s_max, m_max)
 
 

@@ -256,13 +256,14 @@ def _cmd_ssdim_certify(args) -> dict:
 
 
 def _cmd_hitting_vand(args) -> dict:
+    from .fields import INTEGER_RING, encode_element
     from .hitting import vandermonde_vectors
 
     hv = vandermonde_vectors(args.n, args.s)
     return {
         "n": hv.n,
         "s": hv.s,
-        "vectors": [[str(x) for x in v] for v in hv.vectors],
+        "vectors": [[encode_element(INTEGER_RING, x) for x in v] for v in hv.vectors],
     }
 
 

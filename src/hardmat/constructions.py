@@ -11,13 +11,7 @@ from __future__ import annotations
 
 from math import ceil, isfinite, log2
 
-from .budgets import (
-    MAX_EXPONENT_BITS,
-    TRIVIAL_HARD_CAP,
-    BudgetExceeded,
-    Record,
-    enumeration_budget,
-)
+from .budgets import MAX_EXPONENT_BITS, TRIVIAL_HARD_CAP, Record, charge
 from .fields import INTEGER_RING, extension_field, find_irreducible
 from .matrices import ExactMatrix, identity, kronecker
 from .sidon import SidonSet, construct_sidon
@@ -85,11 +79,8 @@ def hard_over_finite(p: int, n: int, t: int) -> HardMatrixBundle:
 def hard_over_integers(n: int, t: int) -> HardMatrixBundle:
     """Integer matrix with entries 2^e[i][j] (the univariate grid at y = 2)."""
     exp = univariate_hard(n, t)
-    if exp.max_degree > MAX_EXPONENT_BITS:
-        raise BudgetExceeded(
-            f"entry exponent {exp.max_degree} exceeds the bignum cap "
-            f"{MAX_EXPONENT_BITS}"
-        )
+    message = "entry exponent {used} exceeds the bignum cap {cap}"
+    charge(exp.max_degree, message, MAX_EXPONENT_BITS)
     flat = tuple(1 << e for row in exp.exponents for e in row)
     matrix = ExactMatrix(INTEGER_RING, n, n, flat)
     return HardMatrixBundle(matrix, "integer", {"n": n, "t": t})
@@ -107,11 +98,8 @@ def trivial_hard(n: int) -> HardMatrixBundle:
     """The doubly-exponential matrix with entries 2^(2^((n+1)(i-1)+j))."""
     if n < 1:
         raise ValueError("n must be at least 1")
-    if n > TRIVIAL_HARD_CAP:
-        raise BudgetExceeded(
-            f"n={n} exceeds the cap {TRIVIAL_HARD_CAP}; entries would have "
-            f"2^{(n + 1) * (n - 1) + n} bits"
-        )
+    message = "n={used} exceeds the cap {cap}; entries would have 2^{log_bits} bits"
+    charge(n, message, TRIVIAL_HARD_CAP, log_bits=(n + 1) * (n - 1) + n)
     matrix = ExactMatrix(INTEGER_RING, n, n, _trivial_entries(n))
     return HardMatrixBundle(matrix, "trivial", {"n": n})
 
@@ -120,12 +108,11 @@ def amplify_direct_sum(A: ExactMatrix, m: int) -> ExactMatrix:
     """Block-diagonal matrix with m copies of A on the diagonal (I_m (x) A)."""
     if m < 1:
         raise ValueError("m must be at least 1")
-    cap = enumeration_budget()
-    if (m * A.rows) * (m * A.cols) > cap:
-        raise BudgetExceeded(
-            f"{m} copies of a {A.rows} x {A.cols} block exceed the budget of "
-            f"{cap} dense entries"
-        )
+    message = (
+        "{m} copies of a {rows} x {cols} block exceed the budget of "
+        "{cap} dense entries"
+    )
+    charge((m * A.rows) * (m * A.cols), message, m=m, rows=A.rows, cols=A.cols)
     return kronecker(identity(A.field, m), A)
 
 

@@ -378,6 +378,15 @@ def _no_int_digit_limit():
         sys.set_int_max_str_digits(old)
 
 
+def _decimal(x: int) -> str:
+    """``str(x)``, also past Python's int/str digit limit."""
+    try:
+        return str(x)
+    except ValueError:  # past the digit limit
+        with _no_int_digit_limit():
+            return str(x)
+
+
 # Digit strings longer than this are parsed in two halves: CPython 3.11's
 # str -> int is quadratic in the digit count (10^6 digits take seconds).
 _SPLIT_DIGITS = 2048
@@ -435,9 +444,8 @@ def encode_element(field: FieldDescriptor, x):
         return [str(c) for c in x]
     if field.kind == KIND_RATIONAL:
         f = ops._fraction(x)
-        return f"{f.numerator}/{f.denominator}"
-    with _no_int_digit_limit():
-        return str(x)
+        return f"{_decimal(f.numerator)}/{_decimal(f.denominator)}"
+    return _decimal(x)
 
 
 def decode_element(field: FieldDescriptor, raw):

@@ -25,7 +25,7 @@ from __future__ import annotations
 import struct
 from functools import lru_cache
 
-from .budgets import IRREDUCIBLE_SCAN_BUDGET, BudgetExceeded
+from .budgets import IRREDUCIBLE_SCAN_BUDGET, charge
 
 Poly = tuple  # tuple[int, ...], low-degree-first, trimmed
 
@@ -487,7 +487,6 @@ def find_irreducible_coeffs(p: int, d: int) -> Poly:
             candidate = _FpRing(_digits(p, d, k) + (1,), p)
         if _irreducible(candidate):
             return _digits(p, d, k) + (1,)
-    raise BudgetExceeded(
-        f"no irreducible of degree {d} over F_{p} within "
-        f"{IRREDUCIBLE_SCAN_BUDGET} candidates"
-    )
+    # Every degree has an irreducible, so the scan ends here only at the budget.
+    message = "no irreducible of degree {d} over F_{p} within {cap} candidates"
+    charge(IRREDUCIBLE_SCAN_BUDGET + 1, message, IRREDUCIBLE_SCAN_BUDGET, d=d, p=p)

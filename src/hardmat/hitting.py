@@ -16,7 +16,7 @@ from __future__ import annotations
 from math import factorial, lcm
 from operator import mul
 
-from .budgets import PSD_MAX_N, BudgetExceeded, Record, enumeration_budget, is_prime
+from .budgets import PSD_MAX_N, Record, charge, enumeration_budget, is_prime
 from .fields import (
     KIND_PRIME,
     KIND_RATIONAL,
@@ -127,12 +127,11 @@ def vandermonde_vectors(n: int, s: int) -> HittingVectors:
         b * (min(s, 2**b - 1) - 2 ** (b - 1) + 1) for b in range(1, s.bit_length() + 1)
     )
     digits = n * s + 30103 * (n * (n - 1) // 2) * bits // 100000
-    cap = enumeration_budget()
-    if digits > cap:
-        raise BudgetExceeded(
-            f"{s} Vandermonde probe vectors of length {n} take up to {digits} "
-            f"printed digits, past the budget of {cap}"
-        )
+    message = (
+        "{s} Vandermonde probe vectors of length {n} take up to {used} "
+        "printed digits, past the budget of {cap}"
+    )
+    charge(digits, message, s=s, n=n)
     return HittingVectors(RATIONAL_FIELD, n, s, _powers(n, s))
 
 
@@ -143,12 +142,11 @@ def rs_generator(params: RSParams) -> ExactMatrix:
     before any is built.
     """
     q, k = params.q, params.k
-    cap = enumeration_budget()
-    if q * k > cap:
-        raise BudgetExceeded(
-            f"{q} x {k} Reed-Solomon generator entries exceed the budget of "
-            f"{cap} dense entries"
-        )
+    message = (
+        "{q} x {k} Reed-Solomon generator entries exceed the budget of "
+        "{cap} dense entries"
+    )
+    charge(q * k, message, q=q, k=k)
     return vandermonde(prime_field(q), range(q), k)
 
 
@@ -204,9 +202,8 @@ def min_kernel_weight(G: ExactMatrix, budget: int | None = None) -> int | None:
     dim = len(basis)
     if dim == 0:
         return None
-    cap = enumeration_budget(budget)
-    if p**dim > cap:
-        raise BudgetExceeded(f"kernel has {p}^{dim} vectors, budget is {cap}")
+    message = "kernel has {p}^{dim} vectors, budget is {cap}"
+    charge(p**dim, message, enumeration_budget(budget), p=p, dim=dim)
     last = basis[-1]
     n = len(last)
     # roots[i][a]: the c that zeroes slot i when acc_i = a; None where b_i = 0
@@ -296,8 +293,7 @@ def build_hard_psd(n: int) -> PsdPair:
     """
     if n < 2 or n % 2:
         raise ValueError(f"n must be even and positive, got {n}")
-    if n > PSD_MAX_N:
-        raise BudgetExceeded(f"n={n} exceeds the exact-solve cap {PSD_MAX_N}")
+    charge(n, "n={used} exceeds the exact-solve cap {cap}", PSD_MAX_N)
     half = n // 2
     big_l, rows = _lagrange_rows(n, half)
     gram = _gram(rows[half:])

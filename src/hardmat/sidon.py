@@ -13,7 +13,7 @@ from __future__ import annotations
 from itertools import combinations
 from math import comb
 
-from .budgets import SIDON_PRIME_BUDGET, SIDON_SUM_CAP, BudgetExceeded, Record, is_prime
+from .budgets import SIDON_PRIME_BUDGET, SIDON_SUM_CAP, Record, charge, is_prime
 
 __all__ = ["SidonSet", "construct_sidon", "verify_tsum_distinct"]
 
@@ -29,11 +29,7 @@ class SidonSet(Record):
         return tuple(x for row in self.grid for x in row)
 
 
-def _check_sum_cap(size: int, t: int) -> None:
-    """Refuse the C(size, t) subset sums past SIDON_SUM_CAP."""
-    n_sums = comb(size, t)
-    if n_sums > SIDON_SUM_CAP:
-        raise BudgetExceeded(f"{n_sums} subset sums exceed the cap of {SIDON_SUM_CAP}")
+_SUMS = "{used} subset sums exceed the cap of {cap}"
 
 
 def _tsums_distinct(values, t: int) -> bool:
@@ -53,7 +49,7 @@ def verify_tsum_distinct(s, t: int) -> bool:
         raise ValueError("t must be at least 1")
     if t > len(values):
         raise ValueError(f"t={t} exceeds the set size {len(values)}")
-    _check_sum_cap(len(values), t)
+    charge(comb(len(values), t), _SUMS, SIDON_SUM_CAP)
     return _tsums_distinct(values, t)
 
 
@@ -70,7 +66,7 @@ def construct_sidon(n: int, t: int, prime_budget: int = SIDON_PRIME_BUDGET) -> S
     size = n * n
     if t < 1 or t > size:
         raise ValueError(f"t must lie in [1, {size}], got {t}")
-    _check_sum_cap(size, t)
+    charge(comb(size, t), _SUMS, SIDON_SUM_CAP)
     p = size + 1
     while p <= prime_budget:
         if is_prime(p):
@@ -82,6 +78,5 @@ def construct_sidon(n: int, t: int, prime_budget: int = SIDON_PRIME_BUDGET) -> S
                 )
                 return SidonSet(n, t, p, grid)
         p += 1
-    raise BudgetExceeded(
-        f"no admissible prime up to the budget {prime_budget} for n={n}, t={t}"
-    )
+    message = "no admissible prime up to the budget {cap} for n={n}, t={t}"
+    charge(p, message, prime_budget, n=n, t=t)  # p is past the budget here

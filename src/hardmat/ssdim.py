@@ -23,7 +23,13 @@ from __future__ import annotations
 from itertools import combinations
 from math import comb
 
-from .budgets import SIGMA_VALUE_CAP, BudgetExceeded, Record, enumeration_budget
+from .budgets import (
+    CERTIFY_BITS_CAP,
+    SIGMA_VALUE_CAP,
+    Record,
+    charge,
+    enumeration_budget,
+)
 
 __all__ = [
     "ProductFamily",
@@ -69,9 +75,7 @@ def pi_t(M: ExactMatrix, t: int, budget: int | None = None) -> ProductFamily:
     if t < 1 or t > positions:
         raise ValueError(f"t must lie in [1, {positions}], got {t}")
     count = comb(positions, t)
-    cap = enumeration_budget(budget)
-    if count > cap:
-        raise BudgetExceeded(f"{count} subsets exceed the budget {cap}")
+    charge(count, "{used} subsets exceed the budget {cap}", enumeration_budget(budget))
     mul = ops_for(M.field).mul
     values = []
     for subset in combinations(M.entries, t):
@@ -125,11 +129,8 @@ def sigma_t(M: ExactMatrix, t: int, budget: int | None = None) -> int:
         raise ValueError("sigma_t is defined for integer matrices")
     fam = pi_t(M, t, budget=budget)
     distinct = fam.distinct_values()
-    if len(distinct) > SIGMA_VALUE_CAP:
-        raise BudgetExceeded(
-            f"{len(distinct)} distinct products exceed the subset-sum cap "
-            f"{SIGMA_VALUE_CAP}"
-        )
+    message = "{used} distinct products exceed the subset-sum cap {cap}"
+    charge(len(distinct), message, SIGMA_VALUE_CAP)
     sums: set = set()
     for v in distinct:
         sums |= {v} | {x + v for x in sums}
@@ -200,7 +201,9 @@ def certify_depth_d(n: int, d: int, t: int) -> int:
     Any depth-d factorization of a matrix with gamma_t >= (n^2/t)^t must have
     total sparsity strictly greater than the returned s*.  Found by doubling
     and bisection on an exact integer comparison, and re-checked at s* and
-    s* + 1 before it is returned; raises if even s = d*t fails.
+    s* + 1 before it is returned; raises if even s = d*t fails.  The exact
+    comparisons grow with the bits of n^2 * (d*t)^d, so an upper bound on
+    them is charged against CERTIFY_BITS_CAP before any power is formed.
     """
     _check_bound_params(d * t, d, t, n)
     lo = d * t
@@ -208,6 +211,9 @@ def certify_depth_d(n: int, d: int, t: int) -> int:
     # whenever 4^d >= n^2, which settles a large d before any large power.
     if 2 * d >= (n * n).bit_length():
         raise _degenerate(n, d, t)
+    bits = 2 * n.bit_length() + d * (d * t).bit_length()
+    message = "n^2 * (d*t)^d takes up to {used} bits, past the certify cap of {cap}"
+    charge(bits, message, CERTIFY_BITS_CAP)
     rhs = n * n * (d * t) ** d
     k, num, den = 1, 2, 1  # num / den = sum_{j<=k} 1/j!
 

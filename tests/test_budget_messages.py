@@ -5,13 +5,21 @@ constant in ``hardmat.budgets`` in a fresh interpreter, before any layer
 module loads and reads it.
 """
 
+import ast
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from hardmat.budgets import BudgetExceeded
+import hardmat
+from hardmat.budgets import CERTIFY_BITS_CAP, BudgetExceeded, enumeration_budget
+from hardmat.circuits import min_depth2_sparsity
+from hardmat.fields import prime_field
+from hardmat.hitting import RSParams, min_kernel_weight, rs_generator
+from hardmat.matrices import from_rows, identity
+from hardmat.ssdim import certify_depth_d, pi_t
 
 PSI13 = 3_317_044_064_679_887_385_961_981
 POWERS_4X4 = "from_rows(INTEGER_RING, [[2 ** (4 * i + j) for j in range(4)] for i in range(4)])"
@@ -54,6 +62,8 @@ ROWS = [
      "search explored 3 support pairs; budget is 2"),
     ("primality", {}, f"is_prime({PSI13})",
      f"{PSI13} exceeds the primality bound {PSI13 - 1}"),
+    ("certify bits", {}, "certify_depth_d(10**700, 1, 1)",
+     "n^2 * (d*t)^d takes up to 4653 bits, past the certify cap of 4096"),
 ]
 
 # The names a call may use.
@@ -95,3 +105,66 @@ def test_budget_message(lowered, call, message, monkeypatch):
         eval(call, namespace)
     assert str(info.value) == message
 
+
+class TestRefusalSemantics:
+    """What a cap of 0 means, and where the search refuses."""
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: pi_t(identity(prime_field(2), 2), 1, budget=0),
+            lambda: min_kernel_weight(rs_generator(RSParams(5, 2)), budget=0),
+            lambda: min_depth2_sparsity(identity(prime_field(2), 2), budget=0),
+        ],
+        ids=["pi_t", "min_kernel_weight", "min_depth2_sparsity"],
+    )
+    def test_zero_budget_keyword_is_invalid(self, call):
+        with pytest.raises(ValueError, match="^budget must be positive$"):
+            call()
+
+    def test_zero_env_budget_has_its_own_message(self, monkeypatch):
+        monkeypatch.setenv("HARDMAT_BUDGET", "0")
+        message = "^HARDMAT_BUDGET must be positive, got 0$"
+        with pytest.raises(ValueError, match=message):
+            enumeration_budget()
+        with pytest.raises(ValueError, match=message):
+            rs_generator(RSParams(5, 2))
+
+    def test_zero_kernel_answers_before_the_budget_is_read(self):
+        assert min_kernel_weight(identity(prime_field(5), 3), budget=0) is None
+
+    def test_search_names_pair_cap_plus_one_at_a_later_c_support(self):
+        """The search refuses at the first tabled C support past the budget,
+        here pair 16 at budget 12, and still names pair 13.  The bulk point
+        (a B support's pairs) is pinned by test_oracle's test_smallest_budget."""
+        target = from_rows(prime_field(2), [[0, 1], [1, 1]])
+        message = "^search explored 13 support pairs; budget is 12$"
+        with pytest.raises(BudgetExceeded, match=message):
+            min_depth2_sparsity(target, 2, 8, budget=12)
+
+    def test_certify_cap_is_inclusive(self):
+        n = 2**2045  # with d = 2, t = 1 the bound is 2 * 2046 + 2 * 2 bits
+        assert 2 * n.bit_length() + 2 * 2 == CERTIFY_BITS_CAP
+        assert certify_depth_d(n, 2, 1) > 0
+        with pytest.raises(BudgetExceeded, match=" 4098 bits, "):
+            certify_depth_d(2 * n, 2, 1)
+
+
+def test_budget_exceeded_is_raised_only_by_charge():
+    """Every cap refuses through budgets.charge: no other code in the
+    package constructs or raises BudgetExceeded."""
+    found = []
+    for path in sorted(Path(hardmat.__file__).parent.glob("*.py")):
+        stack = [(ast.parse(path.read_text(encoding="utf-8")), None)]
+        while stack:
+            node, func = stack.pop()
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                func = node.name
+            target = node.func if isinstance(node, ast.Call) else None
+            if isinstance(node, ast.Raise):
+                target = node.exc
+            name = getattr(target, "id", getattr(target, "attr", None))
+            if name == "BudgetExceeded":
+                found.append((path.stem, func))
+            stack.extend((child, func) for child in ast.iter_child_nodes(node))
+    assert found == [("budgets", "charge")]

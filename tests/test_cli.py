@@ -69,6 +69,14 @@ class TestSidonCommand:
         assert result.exit_code == 3
         assert result.payload["error"]["type"] == "budget"
 
+    def test_zero_prime_budget_is_a_budget_refusal(self):
+        result = dispatch(["sidon", "--n", "2", "--t", "1", "--prime-budget", "0"])
+        assert result.exit_code == 3
+        assert result.payload["error"] == {
+            "type": "budget",
+            "message": "no admissible prime up to the budget 0 for n=2, t=1",
+        }
+
     def test_missing_n(self):
         result = dispatch(["sidon", "--t", "1"])
         assert result.exit_code == 1
@@ -339,6 +347,19 @@ class TestSsdimCommands:
         assert result.exit_code == 0
         assert result.payload["s_star"] > 200
 
+    def test_certify_refuses_past_the_bit_cap(self, capsys):
+        argv = ["ssdim", "certify", "--n", str(10**2200), "--d", "1", "--t", "1"]
+        assert main(argv) == 3
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0]) == {
+            "error": {
+                "type": "budget",
+                "message": "n^2 * (d*t)^d takes up to 14619 bits, "
+                "past the certify cap of 4096",
+            }
+        }
+
     def test_gamma_on_prime_field_matrix(self, monkeypatch):
         blob = json.dumps(matrix_to_json(identity(prime_field(5), 2)))
         result = run(["ssdim", "gamma", "--t", "1"], blob, monkeypatch)
@@ -370,6 +391,27 @@ class TestHittingCommands:
             monkeypatch,
         )
         assert result.payload == {"value": "1"}
+
+    @pytest.mark.parametrize("kind, suffix", [("rational", "/1"), ("integer-ring", "")])
+    def test_hit_prints_values_past_the_digit_limit(
+        self, monkeypatch, capsys, kind, suffix
+    ):
+        nines = "9" * 4000
+        blob = json.dumps(
+            {"field": {"kind": kind}, "rows": 1, "cols": 1, "entries": [nines]}
+        )
+        monkeypatch.setattr(sys, "stdin", io.StringIO(blob))
+        assert main(["hitting", "hit", "--a", f'["{nines}"]', "--b", '["1"]']) == 0
+        value = json.loads(capsys.readouterr().out)["value"]
+        assert value == "9" * 3999 + "8" + "0" * 3999 + "1" + suffix  # (10^4000 - 1)^2
+
+    def test_vand_prints_entries_past_the_digit_limit(self, monkeypatch):
+        monkeypatch.setenv("HARDMAT_BUDGET", "100000000")
+        result = dispatch(["hitting", "vand", "--n", "14400", "--s", "2"])
+        assert result.exit_code == 0
+        last = result.payload["vectors"][1][-1]  # 2^14399, 4335 digits
+        assert len(last) == 4335
+        assert int(last[:4000]) * 10**335 + int(last[4000:]) == 2**14399
 
     @pytest.mark.parametrize(
         "a, b, flag",
