@@ -4,20 +4,25 @@ Every brute-force surface (subset enumeration, prime search, candidate
 polynomial scan, ...) is guarded by an explicit budget.  Hitting a budget
 raises :class:`BudgetExceeded`, which callers must treat as "unknown", never
 as a negative answer.  :func:`charge` is the one place that compares work
-with a cap and raises; the message is formatted only on refusal.  The
-generic enumeration cap can be overridden with the ``HARDMAT_BUDGET``
-environment variable.
+with a cap and raises; the message is formatted only on refusal, with no
+limit on the digits of its integers.  Every cap is a module constant; the
+only per-call override is the ``budget`` argument (``--budget`` on the
+command line) of the four surfaces that take one, which replaces the
+enumeration budget for that call.
 
-The module also holds the two dependency-free helpers every layer needs:
-:func:`is_prime`, exact up to :data:`PRIMALITY_BOUND`, and :class:`Record`,
-the frozen value-record base of the toolkit's result types.  Keeping them here
-lets a layer avoid importing ``fields`` or ``dataclasses`` for them.
-``is_prime`` is public as ``hardmat.fields.is_prime``, which re-exports it.
+The module also holds the dependency-free helpers every layer needs:
+:func:`is_prime`, exact up to :data:`PRIMALITY_BOUND`; :func:`comb_within`,
+a binomial that stops once it passes a cap; :func:`_decimal`, ``str`` of an
+int past Python's digit limit; and :class:`Record`, the frozen value-record
+base of the toolkit's result types.  Keeping them here lets a layer avoid
+importing ``fields`` or ``dataclasses`` for them.  ``is_prime`` is public as
+``hardmat.fields.is_prime``, which re-exports it.
 """
 
 from __future__ import annotations
 
-import os
+import sys
+from contextlib import contextmanager
 from operator import attrgetter
 
 __all__ = [
@@ -33,6 +38,7 @@ __all__ = [
     "MAX_EXPONENT_BITS",
     "CERTIFY_BITS_CAP",
     "charge",
+    "comb_within",
     "enumeration_budget",
     "Record",
     "FrozenRecordError",
@@ -44,7 +50,8 @@ class BudgetExceeded(Exception):
 
 
 #: Cap on generic subset / kernel enumerations (pi_t subsets, q^dim kernel
-#: vectors, search nodes).  Overridable via HARDMAT_BUDGET.
+#: vectors, search nodes, dense entries, printed digits).  A call's
+#: ``budget`` argument replaces it for that call.
 DEFAULT_ENUMERATION_BUDGET = 1_000_000
 
 #: Largest prime tried when searching for a Sidon-set modulus.
@@ -81,25 +88,39 @@ CERTIFY_BITS_CAP = 4096
 
 
 def enumeration_budget(override: int | None = None) -> int:
-    """Resolve the generic enumeration budget.
+    """The enumeration budget: ``override`` if given, else the default.
 
-    Priority: explicit ``override`` argument, then the HARDMAT_BUDGET
-    environment variable, then the built-in default.
+    The default is read at call time, so lowering the module constant
+    lowers every budget not overridden.
     """
-    if override is not None:
-        if override < 1:
-            raise ValueError("budget must be positive")
-        return override
-    raw = os.environ.get("HARDMAT_BUDGET")
-    if raw is None:
+    if override is None:
         return DEFAULT_ENUMERATION_BUDGET
+    if override < 1:
+        raise ValueError("budget must be positive")
+    return override
+
+
+@contextmanager
+def _no_int_digit_limit():
+    """Lift Python's int/str digit limit (4300; from 3.10.7 on) in a block."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
     try:
-        value = int(raw)
-    except ValueError as exc:
-        raise ValueError(f"HARDMAT_BUDGET is not an integer: {raw!r}") from exc
-    if value < 1:
-        raise ValueError(f"HARDMAT_BUDGET must be positive, got {value}")
-    return value
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
+def _decimal(x: int) -> str:
+    """``str(x)``, also past Python's int/str digit limit."""
+    try:
+        return str(x)
+    except ValueError:  # past the digit limit
+        with _no_int_digit_limit():
+            return str(x)
 
 
 def charge(used: int, message: str, cap: int | None = None, **fields) -> None:
@@ -107,12 +128,32 @@ def charge(used: int, message: str, cap: int | None = None, **fields) -> None:
 
     ``cap=None`` means the enumeration budget; an explicit cap is compared
     as given.  ``message`` is a ``str.format`` template over ``used``,
-    ``cap`` and ``fields``, formatted only on refusal.
+    ``cap`` and ``fields``, formatted only on refusal; its integers print
+    in full, however many digits they have.
     """
     if cap is None:
         cap = enumeration_budget()
     if used > cap:
-        raise BudgetExceeded(message.format(used=used, cap=cap, **fields))
+        with _no_int_digit_limit():
+            text = message.format(used=used, cap=cap, **fields)
+        raise BudgetExceeded(text)
+
+
+def comb_within(n: int, k: int, cap: int) -> int | None:
+    """comb(n, k) for 0 <= k <= n, or None once it is known to pass ``cap``.
+
+    The product runs term by term over i <= min(k, n - k), where comb(n, i)
+    grows with i; a partial product past the cap before the last term
+    returns None, so a huge binomial is never formed.  A result past the
+    cap at the last term is returned in full.
+    """
+    k = min(k, n - k)
+    count = 1
+    for i in range(1, k + 1):
+        count = count * (n + 1 - i) // i
+        if count > cap and i < k:
+            return None
+    return count
 
 
 # The first 13 primes: trial divisors and Miller-Rabin bases of is_prime.

@@ -413,7 +413,8 @@ def min_depth2_sparsity(
     solved: dict = {}
     nodes = 0
 
-    for s in range(s_max + 1):
+    # B and C have at most n * m_max cells each, so no support is larger.
+    for s in range(min(s_max, 2 * n * m_max) + 1):
         for m in range(max(1, rank_a), m_max + 1):
             for s_b in range(s + 1):
                 s_c = s - s_b

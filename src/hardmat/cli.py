@@ -168,7 +168,7 @@ def _cmd_sidon(args) -> dict:
         return {"t": args.t, "distinct": verify_tsum_distinct(values, args.t)}
     if args.n is None:
         raise ValueError("--n is required unless --verify is given")
-    s = construct_sidon(args.n, args.t, prime_budget=args.prime_budget)
+    s = construct_sidon(args.n, args.t)
     return {"n": s.n, "t": s.t, "p": s.p, "grid": [list(row) for row in s.grid]}
 
 
@@ -417,7 +417,6 @@ _COMMANDS = (
     ("sidon", "construct or verify a t-wise Sidon grid", (
         ("--n", {"type": int}),
         *_ints("--t"),
-        ("--prime-budget", {"type": int, "default": 1_000_000}),
         ("--verify", {"action": "store_true", "help": "verify JSON from --in"}),
         _in("sidon JSON or element array (with --verify)"),
     ), _cmd_sidon),

@@ -18,11 +18,10 @@ arithmetic for a descriptor.  All operations are pure and exact.
 from __future__ import annotations
 
 import sys
-from contextlib import contextmanager
 from functools import lru_cache
 from math import log10
 
-from .budgets import MAX_EXPONENT_BITS, Record, is_prime
+from .budgets import MAX_EXPONENT_BITS, Record, _decimal, is_prime
 
 # ``fppoly`` is imported only where an extension field is used, so calls over
 # prime fields, Q and Z do not load it; ``fractions`` only where a rational is
@@ -362,29 +361,6 @@ def power(field: FieldDescriptor, x, e: int):
 
 # Digits of 2^MAX_EXPONENT_BITS, the largest integer-ring entry built.
 _MAX_INT_DIGITS = int(MAX_EXPONENT_BITS * log10(2)) + 1
-
-
-@contextmanager
-def _no_int_digit_limit():
-    """Lift Python's int/str digit limit (4300; from 3.10.7 on) in a block."""
-    if not hasattr(sys, "set_int_max_str_digits"):
-        yield
-        return
-    old = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
-    try:
-        yield
-    finally:
-        sys.set_int_max_str_digits(old)
-
-
-def _decimal(x: int) -> str:
-    """``str(x)``, also past Python's int/str digit limit."""
-    try:
-        return str(x)
-    except ValueError:  # past the digit limit
-        with _no_int_digit_limit():
-            return str(x)
 
 
 # Digit strings longer than this are parsed in two halves: CPython 3.11's

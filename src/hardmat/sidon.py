@@ -11,9 +11,16 @@ e[i][j] = 2^((i-1)n + (j-1)) mod p.
 from __future__ import annotations
 
 from itertools import combinations
-from math import comb
 
-from .budgets import SIDON_PRIME_BUDGET, SIDON_SUM_CAP, Record, charge, is_prime
+from .budgets import (
+    SIDON_PRIME_BUDGET,
+    SIDON_SUM_CAP,
+    Record,
+    _decimal,
+    charge,
+    comb_within,
+    is_prime,
+)
 
 __all__ = ["SidonSet", "construct_sidon", "verify_tsum_distinct"]
 
@@ -29,7 +36,13 @@ class SidonSet(Record):
         return tuple(x for row in self.grid for x in row)
 
 
-_SUMS = "{used} subset sums exceed the cap of {cap}"
+def _charge_sums(size: int, t: int) -> None:
+    """Refuse more than SIDON_SUM_CAP sums of t of size values."""
+    count = comb_within(size, t, SIDON_SUM_CAP)
+    message = "{used} subset sums exceed the cap of {cap}"
+    if count is None:  # stopped before its last factor: print only the cap
+        count, message = SIDON_SUM_CAP + 1, "the subset sums exceed the cap of {cap}"
+    charge(count, message, SIDON_SUM_CAP)
 
 
 def _tsums_distinct(values, t: int) -> bool:
@@ -49,11 +62,11 @@ def verify_tsum_distinct(s, t: int) -> bool:
         raise ValueError("t must be at least 1")
     if t > len(values):
         raise ValueError(f"t={t} exceeds the set size {len(values)}")
-    charge(comb(len(values), t), _SUMS, SIDON_SUM_CAP)
+    _charge_sums(len(values), t)
     return _tsums_distinct(values, t)
 
 
-def construct_sidon(n: int, t: int, prime_budget: int = SIDON_PRIME_BUDGET) -> SidonSet:
+def construct_sidon(n: int, t: int) -> SidonSet:
     """Smallest-prime t-wise Sidon grid of side n.
 
     Scans primes in increasing order starting just above n^2 (fewer residues
@@ -65,10 +78,10 @@ def construct_sidon(n: int, t: int, prime_budget: int = SIDON_PRIME_BUDGET) -> S
         raise ValueError("n must be at least 1")
     size = n * n
     if t < 1 or t > size:
-        raise ValueError(f"t must lie in [1, {size}], got {t}")
-    charge(comb(size, t), _SUMS, SIDON_SUM_CAP)
+        raise ValueError(f"t must lie in [1, {_decimal(size)}], got {t}")
+    _charge_sums(size, t)
     p = size + 1
-    while p <= prime_budget:
+    while p <= SIDON_PRIME_BUDGET:
         if is_prime(p):
             residues = [pow(2, i, p) for i in range(size)]
             if len(set(residues)) == size and _tsums_distinct(residues, t):
@@ -79,4 +92,4 @@ def construct_sidon(n: int, t: int, prime_budget: int = SIDON_PRIME_BUDGET) -> S
                 return SidonSet(n, t, p, grid)
         p += 1
     message = "no admissible prime up to the budget {cap} for n={n}, t={t}"
-    charge(p, message, prime_budget, n=n, t=t)  # p is past the budget here
+    charge(p, message, SIDON_PRIME_BUDGET, n=n, t=t)  # p is past the budget here

@@ -27,6 +27,7 @@ from .budgets import (
     CERTIFY_BITS_CAP,
     SIGMA_VALUE_CAP,
     Record,
+    _decimal,
     charge,
     enumeration_budget,
 )
@@ -162,9 +163,13 @@ def _check_bound_params(s: int, d: int, t: int, n: int):
         if isinstance(v, bool) or not isinstance(v, int) or v < 1:
             raise ValueError(f"{name} must be a positive integer")
     if s < d * t:
-        raise ValueError(f"the bound requires s >= d*t, got s={s} < {d * t}")
+        raise ValueError(
+            f"the bound requires s >= d*t, got s={_decimal(s)} < {_decimal(d * t)}"
+        )
     if 4 * t > n * n:
-        raise ValueError(f"the bound requires t <= n^2/4, got t={t}, n={n}")
+        raise ValueError(
+            f"the bound requires t <= n^2/4, got t={_decimal(t)}, n={_decimal(n)}"
+        )
 
 
 def bound_eval(s: int, d: int, t: int, n: int) -> BoundEvaluation:
@@ -177,7 +182,8 @@ def bound_eval(s: int, d: int, t: int, n: int) -> BoundEvaluation:
     _check_bound_params(s, d, t, n)
     if s > d * n * n:
         raise ValueError(
-            f"the sigma bound requires s <= d*n^2, got s={s} > {d * n * n}"
+            f"the sigma bound requires s <= d*n^2, got s={_decimal(s)} > "
+            f"{_decimal(d * n * n)}"
         )
     from mpmath import mp, mpf
 
@@ -190,8 +196,8 @@ def bound_eval(s: int, d: int, t: int, n: int) -> BoundEvaluation:
 
 def _degenerate(n: int, d: int, t: int) -> ValueError:
     return ValueError(
-        f"degenerate parameters: no size >= {d * t} is certified for "
-        f"n={n}, d={d}, t={t}"
+        f"degenerate parameters: no size >= {_decimal(d * t)} is certified for "
+        f"n={_decimal(n)}, d={_decimal(d)}, t={_decimal(t)}"
     )
 
 

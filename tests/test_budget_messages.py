@@ -1,12 +1,12 @@
 """Every BudgetExceeded message, byte for byte: one row per capped surface.
 
-A row whose cap cannot be reached at the shipped constants lowers the
-constant in ``hardmat.budgets`` in a fresh interpreter, before any layer
-module loads and reads it.
+Every cap is a constant in ``hardmat.budgets``; the only per-call override
+is a ``budget=`` keyword.  A row whose cap cannot be reached at the shipped
+constants, nor through a keyword, lowers the constant in a fresh
+interpreter, before any layer module loads and reads it.
 """
 
 import ast
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import hardmat
-from hardmat.budgets import CERTIFY_BITS_CAP, BudgetExceeded, enumeration_budget
+from hardmat.budgets import CERTIFY_BITS_CAP, BudgetExceeded
 from hardmat.circuits import min_depth2_sparsity
 from hardmat.fields import prime_field
 from hardmat.hitting import RSParams, min_kernel_weight, rs_generator
@@ -30,7 +30,11 @@ ROWS = [
      "75287520 subset sums exceed the cap of 5000000"),
     ("sidon sum cap, construction", {}, "construct_sidon(10, 5)",
      "75287520 subset sums exceed the cap of 5000000"),
-    ("sidon prime search", {}, "construct_sidon(3, 2, prime_budget=20)",
+    ("sidon sum count, verifier stopped early", {},
+     "verify_tsum_distinct(range(1000), 500)", "the subset sums exceed the cap of 5000000"),
+    ("sidon sum count, construction stopped early", {}, "construct_sidon(300, 45000)",
+     "the subset sums exceed the cap of 5000000"),
+    ("sidon prime search", {"SIDON_PRIME_BUDGET": 20}, "construct_sidon(3, 2)",
      "no admissible prime up to the budget 20 for n=3, t=2"),
     ("irreducible scan, F_2", {"IRREDUCIBLE_SCAN_BUDGET": 2}, "find_irreducible(2, 64)",
      "no irreducible of degree 64 over F_2 within 2 candidates"),
@@ -84,9 +88,8 @@ def message_in_fresh_interpreter(lowered: dict, call: str) -> str:
         "except budgets.BudgetExceeded as exc:\n"
         "    print(exc, end='')\n"
     )
-    env = {k: v for k, v in os.environ.items() if k != "HARDMAT_BUDGET"}
     out = subprocess.run(
-        [sys.executable, "-c", script], capture_output=True, text=True, check=True, env=env
+        [sys.executable, "-c", script], capture_output=True, text=True, check=True
     )
     return out.stdout
 
@@ -94,11 +97,10 @@ def message_in_fresh_interpreter(lowered: dict, call: str) -> str:
 @pytest.mark.parametrize(
     "lowered, call, message", [row[1:] for row in ROWS], ids=[row[0] for row in ROWS]
 )
-def test_budget_message(lowered, call, message, monkeypatch):
+def test_budget_message(lowered, call, message):
     if lowered:
         assert message_in_fresh_interpreter(lowered, call) == message
         return
-    monkeypatch.delenv("HARDMAT_BUDGET", raising=False)
     namespace = {}
     exec(PRELUDE, namespace)
     with pytest.raises(BudgetExceeded) as info:
@@ -121,14 +123,6 @@ class TestRefusalSemantics:
     def test_zero_budget_keyword_is_invalid(self, call):
         with pytest.raises(ValueError, match="^budget must be positive$"):
             call()
-
-    def test_zero_env_budget_has_its_own_message(self, monkeypatch):
-        monkeypatch.setenv("HARDMAT_BUDGET", "0")
-        message = "^HARDMAT_BUDGET must be positive, got 0$"
-        with pytest.raises(ValueError, match=message):
-            enumeration_budget()
-        with pytest.raises(ValueError, match=message):
-            rs_generator(RSParams(5, 2))
 
     def test_zero_kernel_answers_before_the_budget_is_read(self):
         assert min_kernel_weight(identity(prime_field(5), 3), budget=0) is None

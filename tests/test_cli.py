@@ -6,10 +6,12 @@ import os
 import shlex
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
+from hardmat import budgets
 from hardmat.cli import _COMMANDS, build_parser, dispatch, main, read_matrix
 from hardmat.constructions import trivial_hard
 from hardmat.fields import extension_field, prime_field
@@ -64,22 +66,34 @@ class TestSidonCommand:
         assert result.payload["error"]["type"] == "domain"
         assert result.payload["error"]["message"].startswith(where)
 
-    def test_budget_exit_code(self):
-        result = dispatch(["sidon", "--n", "3", "--t", "2", "--prime-budget", "20"])
+    def test_budget_exit_code(self, monkeypatch):
+        monkeypatch.setattr("hardmat.sidon.SIDON_PRIME_BUDGET", 20)
+        result = dispatch(["sidon", "--n", "3", "--t", "2"])
         assert result.exit_code == 3
         assert result.payload["error"]["type"] == "budget"
-
-    def test_zero_prime_budget_is_a_budget_refusal(self):
-        result = dispatch(["sidon", "--n", "2", "--t", "1", "--prime-budget", "0"])
-        assert result.exit_code == 3
-        assert result.payload["error"] == {
-            "type": "budget",
-            "message": "no admissible prime up to the budget 0 for n=2, t=1",
-        }
 
     def test_missing_n(self):
         result = dispatch(["sidon", "--t", "1"])
         assert result.exit_code == 1
+
+    def test_size_past_the_digit_limit_prints_in_full(self):
+        result = dispatch(["sidon", "--n", "1" + "0" * 3000, "--t", "0"])
+        assert result.exit_code == 1
+        assert result.payload["error"] == {
+            "type": "domain",
+            "message": "t must lie in [1, 1" + "0" * 6000 + "], got 0",
+        }
+
+    @pytest.mark.parametrize("n, t", [(10**40, 10**40), (10**9, 10**9), (300, 45000)])
+    def test_sum_count_stops_at_the_cap(self, n, t):
+        start = time.perf_counter()
+        result = dispatch(["sidon", "--n", str(n), "--t", str(t)])
+        assert time.perf_counter() - start < 1
+        assert result.exit_code == 3
+        assert result.payload["error"] == {
+            "type": "budget",
+            "message": "the subset sums exceed the cap of 5000000",
+        }
 
 
 class TestExitCodes:
@@ -226,7 +240,7 @@ class TestOversizedInputs:
         assert error["message"].startswith("line 2:")
 
     def test_slc_layers_share_one_budget(self, monkeypatch, capsys):
-        monkeypatch.setenv("HARDMAT_BUDGET", "10")
+        monkeypatch.setattr(budgets, "DEFAULT_ENUMERATION_BUDGET", 10)
         text = "field prime 5\nlayer 3 3\nend\nlayer 3 3\nend\n"
         code, error = self.main_payload(["circuit", "parse"], text, monkeypatch, capsys)
         assert code == 3
@@ -244,7 +258,7 @@ class TestOversizedInputs:
     def test_rs_generator_past_the_budget_is_refused_before_allocating(
         self, monkeypatch, capsys
     ):
-        monkeypatch.setenv("HARDMAT_BUDGET", "10")
+        monkeypatch.setattr(budgets, "DEFAULT_ENUMERATION_BUDGET", 10)
         assert main(["hitting", "rs", "--q", "5", "--k", "2"]) == 0  # 10 entries
         capsys.readouterr()
         code, error = self.main_payload(
@@ -256,7 +270,7 @@ class TestOversizedInputs:
             "message": "5 x 3 Reed-Solomon generator entries exceed the budget "
             "of 10 dense entries",
         }
-        monkeypatch.delenv("HARDMAT_BUDGET")
+        monkeypatch.undo()
         code, error = self.main_payload(
             ["hitting", "rs", "--q", "1000003", "--k", "4"], "", monkeypatch, capsys
         )
@@ -360,6 +374,16 @@ class TestSsdimCommands:
             }
         }
 
+    def test_bound_message_prints_d_times_t_past_the_digit_limit(self):
+        big = "1" + "0" * 4000
+        argv = ["ssdim", "bound", "--s", "1", "--d", big, "--t", big, "--n", "5"]
+        result = dispatch(argv)
+        assert result.exit_code == 1
+        assert result.payload["error"] == {
+            "type": "domain",
+            "message": "the bound requires s >= d*t, got s=1 < 1" + "0" * 8000,
+        }
+
     def test_gamma_on_prime_field_matrix(self, monkeypatch):
         blob = json.dumps(matrix_to_json(identity(prime_field(5), 2)))
         result = run(["ssdim", "gamma", "--t", "1"], blob, monkeypatch)
@@ -367,6 +391,19 @@ class TestSsdimCommands:
 
 
 class TestHittingCommands:
+    def test_vand_charge_past_the_digit_limit_is_a_budget_refusal(self):
+        big = str(10**2500)
+        assert dispatch(["hitting", "vand", "--n", big, "--s", big]).exit_code == 3
+        n = 2**8000 - 1  # the bit lengths of 1..n sum to 7999 * 2^8000 + 1
+        digits = n * n + 30103 * (n * (n - 1) // 2) * (7999 * 2**8000 + 1) // 100000
+        result = dispatch(["hitting", "vand", "--n", str(n), "--s", str(n)])
+        assert result.exit_code == 3
+        assert result.payload["error"] == {
+            "type": "budget",
+            "message": f"{n} Vandermonde probe vectors of length {n} take up to "
+            f"{budgets._decimal(digits)} printed digits, past the budget of 1000000",
+        }
+
     def test_vand(self):
         result = dispatch(["hitting", "vand", "--n", "3", "--s", "2"])
         assert result.payload["vectors"] == [["1", "1", "1"], ["1", "2", "4"]]
@@ -406,7 +443,7 @@ class TestHittingCommands:
         assert value == "9" * 3999 + "8" + "0" * 3999 + "1" + suffix  # (10^4000 - 1)^2
 
     def test_vand_prints_entries_past_the_digit_limit(self, monkeypatch):
-        monkeypatch.setenv("HARDMAT_BUDGET", "100000000")
+        monkeypatch.setattr(budgets, "DEFAULT_ENUMERATION_BUDGET", 100_000_000)
         result = dispatch(["hitting", "vand", "--n", "14400", "--s", "2"])
         assert result.exit_code == 0
         last = result.payload["vectors"][1][-1]  # 2^14399, 4335 digits
@@ -544,29 +581,17 @@ class TestSearchCommand:
         result = run(["search", "--s-max", "8", "--budget", "2"], blob, monkeypatch)
         assert result.exit_code == 3
 
-
-class TestBudgetEnv:
-    def test_env_var_overrides_enumeration_budget(self, monkeypatch):
-        from hardmat.budgets import enumeration_budget
-
-        monkeypatch.setenv("HARDMAT_BUDGET", "10")
-        assert enumeration_budget() == 10
+    def test_s_max_past_every_support_size(self, monkeypatch):
+        """rank 4 > m_max: no support of any size factors the target."""
         blob = json.dumps(matrix_to_json(identity(prime_field(2), 4)))
-        result = run(["ssdim", "gamma", "--t", "3"], blob, monkeypatch)
-        assert result.exit_code == 3  # C(16, 3) = 560 > 10
-
-    def test_explicit_flag_beats_env(self, monkeypatch):
-        from hardmat.budgets import enumeration_budget
-
-        monkeypatch.setenv("HARDMAT_BUDGET", "10")
-        assert enumeration_budget(5000) == 5000
-
-    def test_bad_env_value(self, monkeypatch):
-        from hardmat.budgets import enumeration_budget
-
-        monkeypatch.setenv("HARDMAT_BUDGET", "lots")
-        with pytest.raises(ValueError):
-            enumeration_budget()
+        argv = ["search", "--m-max", "1", "--s-max", str(10**18)]
+        start = time.perf_counter()
+        result = run(argv, blob, monkeypatch)
+        assert time.perf_counter() - start < 1
+        assert result.exit_code == 0
+        payload = result.payload
+        assert (payload["status"], payload["nodes"]) == ("none", 0)
+        assert payload["s_max"] == 10**18
 
 
 class TestReadMatrix:
@@ -751,7 +776,6 @@ class TestParserBranch:
     )
     def test_help_and_usage_errors_are_recorded_bytes(self, case, monkeypatch, capsys):
         monkeypatch.setenv("COLUMNS", str(GOLDEN_CLI["columns"]))
-        monkeypatch.delenv("HARDMAT_BUDGET", raising=False)
         code = main(list(case["argv"]))
         out = capsys.readouterr()
         expected = (case["code"], case["stdout"], case["stderr"])
@@ -776,11 +800,7 @@ class TestHardExit:
     SIDON = ["sidon", "--n", "2", "--t", "1"]
 
     def hardmat(self, argv, module="hardmat", env=(), **kwargs):
-        full_env = {
-            k: v
-            for k, v in os.environ.items()
-            if k not in ("HARDMAT_BUDGET", "PYTHONUNBUFFERED")
-        }
+        full_env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
         full_env["COLUMNS"] = str(GOLDEN_CLI["columns"])
         full_env.update(env)
         cmd = [sys.executable, "-m", module, *argv]
@@ -838,8 +858,7 @@ class TestHardExit:
 
     def test_stdout_closed_at_start_exits_zero(self):
         cmd = shlex.join([sys.executable, "-m", "hardmat", *self.SIDON]) + " >&-"
-        env = {k: v for k, v in os.environ.items() if k != "HARDMAT_BUDGET"}
-        proc = subprocess.run(cmd, shell=True, env=env, stderr=subprocess.PIPE, text=True)
+        proc = subprocess.run(cmd, shell=True, stderr=subprocess.PIPE, text=True)
         assert proc.returncode == 0
         assert proc.stderr.startswith('{"operation":"sidon",')
 

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hardmat import fields, fppoly
+from hardmat import budgets, fields, fppoly
 from hardmat.budgets import PRIMALITY_BOUND, BudgetExceeded
 from hardmat.fields import (
     INTEGER_RING,
@@ -178,7 +178,6 @@ class TestIsPrime:
 
     def test_one_function_serves_every_import_path(self):
         import hardmat
-        from hardmat import budgets
 
         assert fields.is_prime is budgets.is_prime is hardmat.is_prime
 
@@ -462,7 +461,7 @@ class TestEncodings:
         for length in (1, split - 1, split, split + 1, 2 * split, 2 * split + 1,
                        4 * split + 1, 5 * split + 3):
             text = "".join(rng.choice("0123456789") for _ in range(length))
-            with fields._no_int_digit_limit():
+            with budgets._no_int_digit_limit():
                 expected = int(text)
             assert decode_element(INTEGER_RING, text) == expected
             assert decode_element(INTEGER_RING, "-" + text) == -expected

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hardmat import hitting
+from hardmat import budgets, hitting
 from hardmat.budgets import BudgetExceeded
 from hardmat.fields import RATIONAL_FIELD, prime_field
 from hardmat.hitting import (
@@ -61,10 +61,9 @@ class TestVandermondeVectors:
             vandermonde_vectors(3, 4)
 
     def test_digit_charge_bounds_the_printed_digits(self, monkeypatch):
-        monkeypatch.delenv("HARDMAT_BUDGET", raising=False)
         hv = vandermonde_vectors(100, 100)  # 787,076 digits, charged 874,267
         assert sum(len(str(x)) for v in hv.vectors for x in v) == 787076
-        monkeypatch.setenv("HARDMAT_BUDGET", "1")
+        monkeypatch.setattr(budgets, "DEFAULT_ENUMERATION_BUDGET", 1)
         for n, s in [(2, 1), (7, 5), (30, 17), (64, 64), (100, 100)]:
             with pytest.raises(BudgetExceeded) as info:
                 vandermonde_vectors(n, s)
@@ -72,15 +71,14 @@ class TestVandermondeVectors:
             powers = (i**j for i in range(1, s + 1) for j in range(n))
             assert charged >= sum(len(str(x)) for x in powers)
 
-    def test_digit_charge_refuses_before_building(self, monkeypatch):
-        monkeypatch.delenv("HARDMAT_BUDGET", raising=False)
+    def test_digit_charge_refuses_before_building(self):
         with pytest.raises(BudgetExceeded, match="past the budget of 1000000"):
             vandermonde_vectors(10**9, 10**9)
 
     def test_psd_build_is_not_charged(self, monkeypatch):
-        monkeypatch.setenv("HARDMAT_BUDGET", "1")
+        monkeypatch.setattr(budgets, "DEFAULT_ENUMERATION_BUDGET", 1)
         pair = build_hard_psd(8)
-        monkeypatch.delenv("HARDMAT_BUDGET")
+        monkeypatch.undo()
         assert pair.probes == vandermonde_vectors(8, 4)
 
 

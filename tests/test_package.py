@@ -76,7 +76,7 @@ SIGNATURES = {
     "sparsity": "A",
     "vandermonde": "field, nodes, k",
     "SidonSet": "n, t, p, grid",
-    "construct_sidon": "n, t, prime_budget",
+    "construct_sidon": "n, t",
     "verify_tsum_distinct": "s, t",
     "BoundEvaluation": (
         "s, d, t, n, log2_gamma_upper, log2_sigma_upper, log2_gamma_lower"

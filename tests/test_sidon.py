@@ -1,10 +1,11 @@
 """Sidon grid construction and the brute-force distinct-sums verifier."""
 
 from itertools import combinations
+from math import comb
 
 import pytest
 
-from hardmat.budgets import BudgetExceeded
+from hardmat.budgets import BudgetExceeded, comb_within
 from hardmat.sidon import construct_sidon, verify_tsum_distinct
 
 
@@ -44,9 +45,10 @@ class TestConstruct:
             assert len(set(s.elements())) == n * n
             assert max(s.elements()) < s.p
 
-    def test_prime_budget_reported(self):
+    def test_prime_budget_reported(self, monkeypatch):
+        monkeypatch.setattr("hardmat.sidon.SIDON_PRIME_BUDGET", 20)
         with pytest.raises(BudgetExceeded, match="budget"):
-            construct_sidon(3, 2, prime_budget=20)
+            construct_sidon(3, 2)
 
     def test_bad_parameters(self):
         with pytest.raises(ValueError):
@@ -72,6 +74,19 @@ class TestVerify:
     def test_budget(self):
         with pytest.raises(BudgetExceeded):
             verify_tsum_distinct(range(100), 5)  # C(100, 5) = 75,287,520 sums
+
+    def test_sum_count_matches_comb_until_it_passes_the_cap(self):
+        for n in range(12):
+            for k in range(n + 1):
+                for cap in (1, 5, 50, 500):
+                    count = comb_within(n, k, cap)
+                    if count is None:
+                        assert comb(n, k) > cap
+                    else:
+                        assert count == comb(n, k)
+        # past the cap only at its last factor: returned in full
+        assert comb_within(100, 5, 5_000_000) == 75_287_520
+        assert comb_within(10**80, 10**40, 5_000_000) is None
 
     def test_accepts_sidon_set(self):
         s = construct_sidon(2, 2)

@@ -194,6 +194,15 @@ class TestCertify:
         with pytest.raises(ValueError, match=message):
             certify_depth_d(10, 10**12, 1)
 
+    def test_degenerate_message_prints_n_past_the_digit_limit(self):
+        with pytest.raises(ValueError) as info:
+            certify_depth_d(10**5000, 10**5, 1)
+        assert str(info.value) == (
+            "degenerate parameters: no size >= 100000 is certified for n=1"
+            + "0" * 5000
+            + ", d=100000, t=1"
+        )
+
 
 def mpmath_certify(n, d, t):
     """The reference: the 128-bit mpmath log-space search that certify_depth_d
