@@ -55,19 +55,6 @@ def read_matrix(source: str) -> ExactMatrix:
     return matrix_from_json(_load_json(_read_text(source), "malformed matrix JSON"))
 
 
-def _format_bits(x) -> str:
-    """Fixed-point decimal with exactly 12 fractional digits."""
-    from decimal import Decimal, localcontext
-
-    from mpmath import mp
-
-    text = mp.nstr(x, 40)
-    with localcontext() as ctx:
-        d = Decimal(text)
-        ctx.prec = max(40, d.adjusted() + 14)
-        return str(d.quantize(Decimal("0.000000000001")))
-
-
 def _bundle_payload(bundle: HardMatrixBundle) -> dict:
     from .matrices import matrix_to_json
 
@@ -238,9 +225,9 @@ def _cmd_ssdim_bound(args) -> dict:
         "d": ev.d,
         "t": ev.t,
         "n": ev.n,
-        "log2_gamma_upper": _format_bits(ev.log2_gamma_upper),
-        "log2_sigma_upper": _format_bits(ev.log2_sigma_upper),
-        "log2_gamma_lower": _format_bits(ev.log2_gamma_lower),
+        "log2_gamma_upper": f"{ev.log2_gamma_upper:.12f}",
+        "log2_sigma_upper": f"{ev.log2_sigma_upper:.12f}",
+        "log2_gamma_lower": f"{ev.log2_gamma_lower:.12f}",
     }
 
 

@@ -48,11 +48,16 @@ def _charge_sums(size: int, t: int) -> None:
 def _tsums_distinct(values, t: int) -> bool:
     """All sums of t elements at distinct positions are pairwise distinct.
 
-    Sums are compared as plain integers (no modulus).  Collisions are found
-    by sorting the full list of subset sums.
+    Sums are compared as plain integers (no modulus), collected in a set;
+    the walk stops at the first sum already seen.
     """
-    sums = sorted(sum(c) for c in combinations(values, t))
-    return all(a != b for a, b in zip(sums, sums[1:]))
+    seen = set()
+    for c in combinations(values, t):
+        total = sum(c)
+        if total in seen:
+            return False
+        seen.add(total)
+    return True
 
 
 def verify_tsum_distinct(s, t: int) -> bool:

@@ -12,16 +12,15 @@ A matrix that factors into d sparse layers of total sparsity s has
 log2 gamma_t at most d*t*(log2 e + log2(2s/(d*t))); matrices built from
 Sidon exponent grids meet t*log2(n^2/t) from below.  Comparing the two
 certifies a concrete size bound for every depth-d factorization; the
-comparison is decided exactly in integers.  The printed bound quantities run
-at 128-bit mantissa precision in mpmath.  mpmath, ``fields`` and ``matrices``
-are imported only by the functions that need them, so certifying loads none
-of them.
+comparison is decided exactly in integers.  The printed bound quantities are
+evaluated at 60 significant digits in the standard library's ``decimal``.
+``decimal``, ``fields`` and ``matrices`` are imported only by the functions
+that need them, so certifying loads none of them.
 """
 
 from __future__ import annotations
 
 from itertools import combinations
-from math import comb
 
 from .budgets import (
     CERTIFY_BITS_CAP,
@@ -29,6 +28,7 @@ from .budgets import (
     Record,
     _decimal,
     charge,
+    comb_within,
     enumeration_budget,
 )
 
@@ -40,11 +40,7 @@ __all__ = [
     "sigma_t",
     "bound_eval",
     "certify_depth_d",
-    "WORKING_PRECISION",
 ]
-
-#: Mantissa bits for all log-space bound arithmetic.
-WORKING_PRECISION = 128
 
 
 class ProductFamily(Record):
@@ -59,13 +55,16 @@ class ProductFamily(Record):
 
 
 class BoundEvaluation(Record):
+    """The bound quantities at (s, d, t, n), each a ``Decimal`` of 40
+    significant digits."""
+
     s: int
     d: int
     t: int
     n: int
-    log2_gamma_upper: mpf
-    log2_sigma_upper: mpf
-    log2_gamma_lower: mpf
+    log2_gamma_upper: Decimal
+    log2_sigma_upper: Decimal
+    log2_gamma_lower: Decimal
 
 
 def pi_t(M: ExactMatrix, t: int, budget: int | None = None) -> ProductFamily:
@@ -75,8 +74,12 @@ def pi_t(M: ExactMatrix, t: int, budget: int | None = None) -> ProductFamily:
     positions = M.rows * M.cols
     if t < 1 or t > positions:
         raise ValueError(f"t must lie in [1, {positions}], got {t}")
-    count = comb(positions, t)
-    charge(count, "{used} subsets exceed the budget {cap}", enumeration_budget(budget))
+    cap = enumeration_budget(budget)
+    count = comb_within(positions, t, cap)
+    message = "{used} subsets exceed the budget {cap}"
+    if count is None:  # stopped before its last factor: print only the cap
+        count, message = cap + 1, "the subsets exceed the budget {cap}"
+    charge(count, message, cap)
     mul = ops_for(M.field).mul
     values = []
     for subset in combinations(M.entries, t):
@@ -138,26 +141,6 @@ def sigma_t(M: ExactMatrix, t: int, budget: int | None = None) -> int:
     return len(sums)
 
 
-def _log2(x) -> mpf:
-    from mpmath import mp
-
-    return mp.log(x) / mp.log(2)
-
-
-def _log2_gamma_upper(s: int, d: int, t: int) -> mpf:
-    from mpmath import mp, mpf
-
-    # log2 of (e^d * (2s/(dt))^d)^t
-    return d * t * (1 / mp.log(2) + _log2(mpf(2 * s) / (d * t)))
-
-
-def _log2_gamma_lower(t: int, n: int) -> mpf:
-    from mpmath import mpf
-
-    # log2 of (n^2/t)^t
-    return t * _log2(mpf(n * n) / t)
-
-
 def _check_bound_params(s: int, d: int, t: int, n: int):
     for name, v in (("s", s), ("d", d), ("t", t), ("n", n)):
         if isinstance(v, bool) or not isinstance(v, int) or v < 1:
@@ -173,11 +156,15 @@ def _check_bound_params(s: int, d: int, t: int, n: int):
 
 
 def bound_eval(s: int, d: int, t: int, n: int) -> BoundEvaluation:
-    """Log-space evaluation of the three bound quantities at 128-bit precision.
+    """The three bound quantities, worked at 60 digits and each rounded once
+    to 40 significant digits.
 
-    Returns log2 of: the sparse-product upper bound on gamma_t, the
-    corresponding upper bound on sigma_t (valid for s <= d*n^2, which is
-    enforced), and the Sidon-grid lower bound on gamma_t.
+    Returns log2 of the sparse-product upper bound (e*2s/(d*t))^(d*t) on
+    gamma_t; the corresponding upper bound 2*n^3 * (e*2s/(d*t))^(d*t) on
+    log2 sigma_t (valid for s <= d*n^2, which is enforced); and log2 of the
+    Sidon-grid lower bound (n^2/t)^t on gamma_t.  The integer digits of the
+    sigma bound are found from its logarithm and charged against the
+    enumeration budget before the bound itself is formed.
     """
     _check_bound_params(s, d, t, n)
     if s > d * n * n:
@@ -185,13 +172,23 @@ def bound_eval(s: int, d: int, t: int, n: int) -> BoundEvaluation:
             f"the sigma bound requires s <= d*n^2, got s={_decimal(s)} > "
             f"{_decimal(d * n * n)}"
         )
-    from mpmath import mp, mpf
+    from decimal import MAX_EMAX, MIN_EMIN, Context
 
-    with mp.workprec(WORKING_PRECISION):
-        g_up = _log2_gamma_upper(s, d, t)
-        s_up = 2 * mpf(n) ** 3 * mp.power(2, g_up)
-        g_low = _log2_gamma_lower(t, n)
-    return BoundEvaluation(s, d, t, n, g_up, s_up, g_low)
+    work = Context(prec=60, Emax=MAX_EMAX, Emin=MIN_EMIN)
+    ln2 = work.ln(2)
+    # natural logs of the gamma and sigma upper bounds
+    ln_gamma_up = work.multiply(d * t, work.add(1, work.ln(work.divide(2 * s, d * t))))
+    ln_sigma_up = work.add(work.ln(2 * n**3), ln_gamma_up)
+    digits = int(work.divide(ln_sigma_up, work.ln(10))) + 1
+    message = "log2_sigma_upper has {used} integer digits, past the budget of {cap}"
+    charge(digits, message)
+    quantities = (
+        work.divide(ln_gamma_up, ln2),
+        work.exp(ln_sigma_up),
+        work.divide(work.multiply(t, work.ln(work.divide(n * n, t))), ln2),
+    )
+    rounded = Context(prec=40, Emax=MAX_EMAX, Emin=MIN_EMIN)
+    return BoundEvaluation(s, d, t, n, *map(rounded.plus, quantities))
 
 
 def _degenerate(n: int, d: int, t: int) -> ValueError:

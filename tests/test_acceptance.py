@@ -12,7 +12,7 @@ from itertools import combinations, product
 from math import comb
 from operator import mul
 
-from mpmath import mp, mpf
+import pytest
 
 from hardmat.circuits import (
     CircuitFactorization,
@@ -150,6 +150,8 @@ def test_criterion_04_sigma_ground_truth():
 
 
 def test_criterion_05_certification_arithmetic():
+    mp = pytest.importorskip("mpmath").mp
+    mpf = mp.mpf
     with _Clock(5, "certified sizes at n=10^6 reach the stated thresholds", 1):
         n = 10**6
         cases = [

@@ -41,7 +41,10 @@ ROWS = [
     ("irreducible scan, odd p", {"IRREDUCIBLE_SCAN_BUDGET": 2}, "find_irreducible(3, 64)",
      "no irreducible of degree 64 over F_3 within 2 candidates"),
     ("pi_t subsets", {}, "pi_t(identity(prime_field(2), 4), 3, budget=10)",
-     "560 subsets exceed the budget 10"),
+     "the subsets exceed the budget 10"),
+    ("pi_t subsets, past the cap at the last factor", {},
+     "pi_t(identity(prime_field(2), 4), 3, budget=559)",
+     "560 subsets exceed the budget 559"),
     ("sigma_t values", {}, f"sigma_t({POWERS_4X4}, 2)",
      "29 distinct products exceed the subset-sum cap 22"),
     ("kernel vectors", {}, "min_kernel_weight(rs_generator(RSParams(11, 1)), budget=1000)",
@@ -68,6 +71,8 @@ ROWS = [
      f"{PSI13} exceeds the primality bound {PSI13 - 1}"),
     ("certify bits", {}, "certify_depth_d(10**700, 1, 1)",
      "n^2 * (d*t)^d takes up to 4653 bits, past the certify cap of 4096"),
+    ("sigma bound digits", {}, "bound_eval(1360000, 1, 1360000, 3000)",
+     "log2_sigma_upper has 1000053 integer digits, past the budget of 1000000"),
 ]
 
 # The names a call may use.

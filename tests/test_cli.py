@@ -374,6 +374,41 @@ class TestSsdimCommands:
             }
         }
 
+    @pytest.mark.parametrize(
+        "big, digits",
+        [(10**9, 735324505), (10**40, 31735324598)],
+        ids=["was-InvalidOperation", "was-MemoryError"],
+    )
+    def test_bound_refuses_a_sigma_bound_past_a_million_digits(self, capsys, big, digits):
+        argv = ["ssdim", "bound", "--s", str(big), "--d", "1", "--t", str(10**9), "--n", str(big)]
+        assert main(argv) == 3
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 1
+        assert json.loads(lines[0]) == {
+            "error": {
+                "type": "budget",
+                "message": f"log2_sigma_upper has {digits} integer digits, "
+                "past the budget of 1000000",
+            }
+        }
+
+    def test_bound_sigma_digit_boundary(self):
+        def bound(t):
+            return dispatch(
+                ["ssdim", "bound", "--s", str(t), "--d", "1", "--t", str(t), "--n", "3000"]
+            )
+
+        printed = bound(1_359_800)
+        assert printed.exit_code == 0
+        whole, frac = printed.payload["log2_sigma_upper"].split(".")
+        assert whole == "9057110853775438876207254711281228775911" + "0" * 999_865
+        assert frac == "0" * 12
+        assert bound(1_360_000).payload["error"] == {
+            "type": "budget",
+            "message": "log2_sigma_upper has 1000053 integer digits, "
+            "past the budget of 1000000",
+        }
+
     def test_bound_message_prints_d_times_t_past_the_digit_limit(self):
         big = "1" + "0" * 4000
         argv = ["ssdim", "bound", "--s", "1", "--d", big, "--t", big, "--n", "5"]
@@ -729,9 +764,79 @@ class TestImportFootprint:
         assert "hardmat.ssdim" in modules
         assert not modules & {"hardmat.fields", "hardmat.matrices"}
 
-    def test_bound_loads_mpmath(self):
+    def test_bound_loads_no_mpmath(self):
         modules = self.loaded(["ssdim", "bound", "--s", "100", "--d", "2", "--t", "3", "--n", "10"])
-        assert "mpmath" in modules
+        assert "hardmat.ssdim" in modules
+        assert "mpmath" not in modules
+
+
+class TestStandardLibraryOnly:
+    """One call of each subcommand the benchmark's ``surface`` workload runs,
+    in an interpreter started with ``-I -S``: no site-packages and no
+    environment, only ``src`` added to ``sys.path``."""
+
+    # (argv, file in the call directory that keeps its stdout); {tmp} is
+    # that directory.
+    CALLS = [
+        ("sidon --n 2 --t 1", "sidon.json"),
+        ("sidon --t 1 --verify --in {tmp}/sidon.json", None),
+        ("hard finite --p 2 --n 2 --t 1", "finite.json"),
+        ("hard integers --n 3 --t 2", None),
+        ("hard trivial --n 2", "trivial.json"),
+        ("hard quasipoly --n 6 --c 1", None),
+        ("hard amplify --m 3 --in {tmp}/finite.json", None),
+        ("ssdim gamma --t 1 --in {tmp}/finite.json", None),
+        ("ssdim sigma --t 2 --in {tmp}/trivial.json", None),
+        ("ssdim bound --s 100 --d 2 --t 3 --n 10", None),
+        ("ssdim certify --n 1000000 --d 2 --t 31623", None),
+        ("hitting vand --n 6 --s 3", None),
+        ("hitting rs --q 5 --k 2", "rs5.json"),
+        ("hitting kernelweight --in {tmp}/rs5.json", None),
+        ('hitting hit --a ["1","2","0","0","3"] --b ["2","3"] --in {tmp}/rs5.json', None),
+        ("psd build --n 2", None),
+        ("circuit parse --in {tmp}/id.slc", None),
+        ("circuit verify --target {tmp}/id2.json --circuit {tmp}/id.slc", None),
+        ("circuit emit --in {tmp}/id.slc", None),
+        ("search --s-max 6 --in {tmp}/id2.json", None),
+    ]
+    SCRIPT = (
+        "import contextlib, io, json, sys\n"
+        "src, tmp, calls = sys.argv[1], sys.argv[2], json.loads(sys.argv[3])\n"
+        "sys.path.insert(0, src)\n"
+        "from hardmat.cli import main\n"
+        "results = []\n"
+        "for argv, keep in calls:\n"
+        "    out = io.StringIO()\n"
+        "    try:\n"
+        "        with contextlib.redirect_stdout(out), "
+        "contextlib.redirect_stderr(io.StringIO()):\n"
+        "            code = main([a.format(tmp=tmp) for a in argv])\n"
+        "    except Exception as exc:\n"
+        "        code = type(exc).__name__\n"
+        "    if keep:\n"
+        "        with open(f'{tmp}/{keep}', 'w') as fh:\n"
+        "            fh.write(out.getvalue())\n"
+        "    results.append([' '.join(argv), code, 'mpmath' in sys.modules])\n"
+        "print(json.dumps(results))\n"
+    )
+
+    def test_every_surface_call_runs_on_the_standard_library(self, tmp_path):
+        (tmp_path / "id2.json").write_text(json.dumps(matrix_to_json(identity(prime_field(2), 2))))
+        (tmp_path / "id.slc").write_text(
+            "field prime 2\nlayer 2 2\n1 1 1\n2 2 1\nend\n"
+            "layer 2 2\n1 1 1\n2 2 1\nend\n"
+        )
+        src = Path(__file__).resolve().parent.parent / "src"
+        calls = [(argv.split(), keep) for argv, keep in self.CALLS]
+        out = subprocess.run(
+            [sys.executable, "-I", "-S", "-c", self.SCRIPT, str(src), str(tmp_path),
+             json.dumps(calls)],
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        results = json.loads(out.stdout)
+        assert results == [[argv, 0, False] for argv, _ in self.CALLS]
 
 
 GOLDEN_CLI = json.loads((Path(__file__).parent / "cli_golden.json").read_text("utf-8"))

@@ -148,5 +148,5 @@ def test_star_import_in_a_fresh_interpreter():
     out = subprocess.run(
         [sys.executable, "-c", script], capture_output=True, text=True, check=True
     )
-    # ssdim imports mpmath only when a bound is evaluated
+    # no hardmat module imports mpmath
     assert out.stdout.split() == ["[]", "False"]

@@ -1,13 +1,21 @@
-"""Product families, exact dimension measures, and log-space bounds."""
+"""Product families, exact dimension measures, and log-space bounds.
+
+The bound and certify references are 128-bit mpmath evaluations, the
+arithmetic ``bound_eval`` and ``certify_depth_d`` used before they moved to
+``decimal`` and to exact integers.  mpmath is a test dependency only: the
+tests that take the ``mp`` fixture skip without it.
+"""
 
 import math
 import random
+from argparse import Namespace
+from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, localcontext
 from math import comb
 
 import pytest
-from mpmath import mp, mpf
 
 from hardmat.budgets import BudgetExceeded
+from hardmat.cli import _cmd_ssdim_bound
 from hardmat.constructions import hard_over_finite, trivial_hard
 from hardmat.fields import (
     INTEGER_RING,
@@ -19,9 +27,6 @@ from hardmat.fields import (
 )
 from hardmat.matrices import ExactMatrix, from_rows, identity, matmul
 from hardmat.ssdim import (
-    WORKING_PRECISION,
-    _log2_gamma_lower,
-    _log2_gamma_upper,
     bound_eval,
     certify_depth_d,
     gamma_t,
@@ -32,6 +37,34 @@ from hardmat.ssdim import (
 QQ = RATIONAL_FIELD
 F2 = prime_field(2)
 F5 = prime_field(5)
+
+#: Mantissa bits of the mpmath reference.
+REFERENCE_PRECISION = 128
+
+
+@pytest.fixture
+def mp():
+    return pytest.importorskip("mpmath").mp
+
+
+def _log2(x):
+    from mpmath import mp
+
+    return mp.log(x) / mp.log(2)
+
+
+def _log2_gamma_upper(s: int, d: int, t: int):
+    from mpmath import mp, mpf
+
+    # log2 of (e^d * (2s/(dt))^d)^t
+    return d * t * (1 / mp.log(2) + _log2(mpf(2 * s) / (d * t)))
+
+
+def _log2_gamma_lower(t: int, n: int):
+    from mpmath import mpf
+
+    # log2 of (n^2/t)^t
+    return t * _log2(mpf(n * n) / t)
 
 
 class TestPiT:
@@ -140,22 +173,30 @@ class TestBoundEval:
         ev = bound_eval(2 * t, 2, t, n)
         assert abs(float(ev.log2_gamma_lower) - n * n / 2) < 1e-9
 
-    def test_against_high_precision_oracle(self):
+    def test_against_high_precision_oracle(self, mp):
+        mpf = mp.mpf
         s, d, t, n = 10**6, 2, 10**3, 10**3
         ev = bound_eval(s, d, t, n)
         with mp.workprec(256):
             oracle = d * t * (mp.log(mp.e, 2) + mp.log(mpf(2 * s) / (d * t), 2))
-            assert abs(ev.log2_gamma_upper - oracle) < mpf(10) ** -6
+            assert abs(mpf(str(ev.log2_gamma_upper)) - oracle) < mpf(10) ** -6
             oracle_low = t * mp.log(mpf(n * n) / t, 2)
-            assert abs(ev.log2_gamma_lower - oracle_low) < mpf(10) ** -6
+            assert abs(mpf(str(ev.log2_gamma_lower)) - oracle_low) < mpf(10) ** -6
 
-    def test_sigma_upper_matches_definition(self):
+    def test_sigma_upper_matches_definition(self, mp):
+        mpf = mp.mpf
         ev = bound_eval(4, 2, 1, 4)
         with mp.workprec(256):
             # 2*n^3 * (e^d * (2s/(dt))^d)^t at s=4, d=2, t=1, n=4
             direct = 2 * 4**3 * (mp.e**2 * (mpf(2 * 4) / (2 * 1)) ** 2) ** 1
             # log2_sigma_upper is the exponent of the sigma bound 2^(...)
-            assert abs(ev.log2_sigma_upper - direct) / direct < mpf(10) ** -20
+            assert abs(mpf(str(ev.log2_sigma_upper)) - direct) / direct < mpf(10) ** -20
+
+    def test_quantities_are_forty_digit_decimals(self):
+        ev = bound_eval(10**6, 2, 10**3, 10**3)
+        for x in (ev.log2_gamma_upper, ev.log2_sigma_upper, ev.log2_gamma_lower):
+            assert isinstance(x, Decimal)
+            assert len(x.as_tuple().digits) == 40
 
     def test_preconditions(self):
         with pytest.raises(ValueError):
@@ -166,12 +207,80 @@ class TestBoundEval:
             bound_eval(300, 2, 1, 10)  # s > d*n^2 invalidates the sigma bound
 
 
+def mpmath_bound_strings(s, d, t, n):
+    """The reference for the printed bound: 128-bit mpmath values, printed to
+    40 significant digits by ``nstr``, then quantized to 12 places."""
+    from mpmath import mp, mpf
+
+    with mp.workprec(REFERENCE_PRECISION):
+        g_up = _log2_gamma_upper(s, d, t)
+        s_up = 2 * mpf(n) ** 3 * mp.power(2, g_up)
+        g_low = _log2_gamma_lower(t, n)
+    texts = []
+    for x in (g_up, s_up, g_low):
+        with localcontext() as ctx:
+            value = Decimal(mp.nstr(x, 40))
+            ctx.prec = max(40, value.adjusted() + 14)
+            texts.append(str(value.quantize(Decimal("0.000000000001"))))
+    return texts
+
+
+def decimal_bound_strings(s, d, t, n, digits=200):
+    """The printed bound from a ``digits``-digit evaluation in ``decimal``,
+    straight from the log2 form: each value rounded to 40 significant digits
+    and printed to 12 places."""
+    ctx = Context(prec=digits, Emax=MAX_EMAX, Emin=MIN_EMIN)
+    ln2 = ctx.ln(2)
+
+    def log2(x):
+        return ctx.divide(ctx.ln(x), ln2)
+
+    g_up = ctx.multiply(d * t, ctx.add(ctx.divide(1, ln2), log2(ctx.divide(2 * s, d * t))))
+    s_up = ctx.multiply(2 * n**3, ctx.power(2, g_up))
+    g_low = ctx.multiply(t, log2(ctx.divide(n * n, t)))
+    forty = Context(prec=40, Emax=MAX_EMAX, Emin=MIN_EMIN)
+    return [f"{forty.plus(x):.12f}" for x in (g_up, s_up, g_low)]
+
+
+class TestBoundAgainstMpmath:
+    """The printed bound equals the mpmath reference's wherever the reference
+    prints at most 34 significant digits, the digits its 128 bits resolve;
+    past them it equals a 200-digit evaluation."""
+
+    NAMES = ("log2_gamma_upper", "log2_sigma_upper", "log2_gamma_lower")
+
+    def test_seeded_cases(self, mp):
+        rng = random.Random(20192)
+        long = 0
+        differing = set()
+        for _ in range(1000):
+            n = int(10 ** rng.uniform(0.31, 3))
+            d = rng.randint(1, 5)
+            t = max(1, int((n * n // 4) ** rng.random()))
+            s = min(d * n * n, int(d * t * (n * n / t) ** rng.random()))
+            payload = _cmd_ssdim_bound(Namespace(s=s, d=d, t=t, n=n))
+            reference = mpmath_bound_strings(s, d, t, n)
+            precise = None
+            for i, (name, ref) in enumerate(zip(self.NAMES, reference)):
+                text = payload[name]
+                if len(ref) - 1 <= 34:  # significant digits: all but the point
+                    assert text == ref, (name, s, d, t, n)
+                    continue
+                long += 1
+                precise = precise or decimal_bound_strings(s, d, t, n)
+                assert text == precise[i], (name, s, d, t, n)
+                if text != ref:
+                    differing.add(name)
+        assert differing == {"log2_sigma_upper"}
+        assert long > 200  # both branches are well represented
+
+
 class TestCertify:
-    def test_boundary_is_tight(self):
+    def test_boundary_is_tight(self, mp):
         for n, d, t in [(10**6, 2, 31623), (10**6, 3, 10**5), (1000, 2, 100)]:
             s_star = certify_depth_d(n, d, t)
             with mp.workprec(128):
-                lower = t * mp.log(mpf(n * n) / t, 2)
+                lower = t * mp.log(mp.mpf(n * n) / t, 2)
                 assert _log2_gamma_upper(s_star, d, t) < lower
                 assert _log2_gamma_upper(s_star + 1, d, t) >= lower
 
@@ -207,7 +316,9 @@ class TestCertify:
 def mpmath_certify(n, d, t):
     """The reference: the 128-bit mpmath log-space search that certify_depth_d
     ran before it decided each comparison exactly."""
-    with mp.workprec(WORKING_PRECISION):
+    from mpmath import mp
+
+    with mp.workprec(REFERENCE_PRECISION):
         lower = _log2_gamma_lower(t, n)
         lo = d * t
         if not _log2_gamma_upper(lo, d, t) < lower:
@@ -237,12 +348,12 @@ def outcome(fn, n, d, t):
 class TestCertifyAgainstMpmath:
     """Exact s* equals the mpmath search's, degenerate messages included."""
 
-    def test_recorded_values(self):
+    def test_recorded_values(self, mp):
         assert certify_depth_d(10**6, 2, 31623) == 65419474
         assert certify_depth_d(10**6, 3, 100) == 118885
         assert mpmath_certify(10**6, 2, 31623) == 65419474
 
-    def test_seeded_cases(self):
+    def test_seeded_cases(self, mp):
         rng = random.Random(20191)
         cases = [(10**6, 2, 31623), (10**6, 3, 100), (2, 2, 1), (10, 1, 25)]
         while len(cases) < 420:
@@ -260,10 +371,10 @@ class TestCertifyAgainstMpmath:
         assert 50 < degenerate < len(cases) - 200
 
     @pytest.mark.parametrize("n, d, t", [(10**40, 2, 10**20), (10**60, 3, 10**30)])
-    def test_exact_past_the_reference_precision(self, n, d, t):
+    def test_exact_past_the_reference_precision(self, mp, n, d, t):
         # s* has more digits than 128 bits resolve; check it at 1024 bits
         s_star = certify_depth_d(n, d, t)
-        assert s_star.bit_length() > WORKING_PRECISION
+        assert s_star.bit_length() > REFERENCE_PRECISION
         with mp.workprec(1024):
             lower = _log2_gamma_lower(t, n)
             assert _log2_gamma_upper(s_star, d, t) < lower
