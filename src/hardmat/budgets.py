@@ -31,6 +31,8 @@ __all__ = [
     "SIDON_PRIME_BUDGET",
     "SIDON_SUM_CAP",
     "IRREDUCIBLE_SCAN_BUDGET",
+    "EXTENSION_BITS_CAP",
+    "GAMMA_RANK_CAP",
     "SIGMA_VALUE_CAP",
     "TRIVIAL_HARD_CAP",
     "PSD_MAX_N",
@@ -62,6 +64,18 @@ SIDON_SUM_CAP = 5_000_000
 
 #: Cap on candidate polynomials scanned by the irreducible search.
 IRREDUCIBLE_SCAN_BUDGET = 1_000_000
+
+#: Cap on an extension F_p[z]/(g), in bits per element: deg g residues of
+#: bit_length(p - 1) bits.  Charged before the irreducible scan and before a
+#: modulus read from outside is re-checked.  The largest extension the desk
+#: checks scan, (p, deg g) = (2, 10241), takes ~35 s (py3.11, one core).
+EXTENSION_BITS_CAP = 10_241
+
+#: Cap on the cell updates of the rank gamma_t takes over an extension
+#: field, at most deg g * m * (2s - m - 1) / 2 for s subsets and
+#: m = min(s, deg g).  An update takes 33-44 ns (py3.11, one core), so the
+#: cap is ~10 s; 630 subsets over deg g = 1281 (253,810,935) run in ~9 s.
+GAMMA_RANK_CAP = 260_000_000
 
 #: Max number of distinct t-wise products fed to the subset-sum enumeration
 #: (2**cap subsets are walked).

@@ -43,17 +43,14 @@ from math import comb
 from . import fields
 from .budgets import Record, charge, enumeration_budget
 from .fields import (
-    INTEGER_RING,
     KIND_EXTENSION,
+    KIND_INTEGER,
     KIND_PRIME,
     KIND_RATIONAL,
-    RATIONAL_FIELD,
     FieldDescriptor,
     decode_element,
     encode_element,
-    extension_field,
     ops_for,
-    prime_field,
 )
 from .matrices import ExactMatrix, first_mismatch, matmul, rank, sparsity
 
@@ -146,51 +143,46 @@ def _parse_int(token: str, line: int, col: int, what: str) -> int:
         raise SlcParseError(f"{what}: {exc}", line, col) from None
 
 
+# The field kinds by their .slc header names, which _emit_header writes too.
+_SLC_KINDS = {
+    "prime": KIND_PRIME,
+    "ext": KIND_EXTENSION,
+    "rational": KIND_RATIONAL,
+    "integer": KIND_INTEGER,
+}
+_SLC_NAMES = {kind: name for name, kind in _SLC_KINDS.items()}
+
+
 def _parse_field_header(tokens, line: int) -> FieldDescriptor:
+    """The header's syntax; ``fields._outside_field`` decides the field."""
     col0, head = tokens[0]
     if head != "field":
         raise SlcParseError(f"expected 'field' header, got {head!r}", line, col0)
     if len(tokens) < 2:
         raise SlcParseError("missing field kind", line, col0)
-    col1, kind = tokens[1]
-    if kind == "rational":
-        extra = tokens[2:]
-    elif kind == "integer":
-        extra = tokens[2:]
-    elif kind == "prime":
-        if len(tokens) != 3:
-            raise SlcParseError("'field prime' takes exactly one modulus", line, col1)
-        colp, ptok = tokens[2]
-        p = _parse_int(ptok, line, colp, "p")
-        try:
-            return prime_field(p)
-        except ValueError as exc:
-            raise SlcParseError(str(exc), line, colp) from exc
-    elif kind == "ext":
-        if len(tokens) < 5:
-            raise SlcParseError(
-                "'field ext' takes p and at least two modulus coefficients",
-                line,
-                col1,
-            )
-        colp, ptok = tokens[2]
-        p = _parse_int(ptok, line, colp, "p")
-        coeffs = [
-            _parse_int(tok, line, col, "modulus coefficient")
-            for col, tok in tokens[3:]
-        ]
-        try:
-            field = extension_field(p, coeffs)
-        except ValueError as exc:
-            raise SlcParseError(str(exc), line, colp) from exc
-        if not field.modulus_is_irreducible():
-            raise SlcParseError("extension modulus is not irreducible", line, colp)
-        return field
-    else:
-        raise SlcParseError(f"unknown field kind {kind!r}", line, col1)
-    if extra:
-        raise SlcParseError(f"unexpected token {extra[0][1]!r}", line, extra[0][0])
-    return RATIONAL_FIELD if kind == "rational" else INTEGER_RING
+    (col1, name), numbers = tokens[1], tokens[2:]
+    kind = _SLC_KINDS.get(name)
+    if kind is None:
+        raise SlcParseError(f"unknown field kind {name!r}", line, col1)
+    if kind == KIND_PRIME and len(numbers) != 1:
+        raise SlcParseError("'field prime' takes exactly one modulus", line, col1)
+    if kind == KIND_EXTENSION and len(numbers) < 3:
+        raise SlcParseError(
+            "'field ext' takes p and at least two modulus coefficients", line, col1
+        )
+    if not numbers:
+        return fields._outside_field(kind)
+    if kind in (KIND_RATIONAL, KIND_INTEGER):
+        col, token = numbers[0]
+        raise SlcParseError(f"unexpected token {token!r}", line, col)
+    p, *modulus = [
+        _parse_int(token, line, col, "modulus coefficient" if i else "p")
+        for i, (col, token) in enumerate(numbers)
+    ]
+    try:
+        return fields._outside_field(kind, p, modulus or None)
+    except ValueError as exc:
+        raise SlcParseError(str(exc), line, numbers[0][0]) from exc
 
 
 def _parse_value(field: FieldDescriptor, token: str, line: int, col: int):
@@ -312,14 +304,8 @@ def _emit_value(field: FieldDescriptor, x) -> str:
 
 
 def _emit_header(field: FieldDescriptor) -> str:
-    if field.kind == KIND_PRIME:
-        return f"field prime {field.p}"
-    if field.kind == KIND_EXTENSION:
-        mods = " ".join(str(c) for c in field.modulus)
-        return f"field ext {field.p} {mods}"
-    if field.kind == KIND_RATIONAL:
-        return "field rational"
-    return "field integer"
+    numbers = () if field.p is None else (field.p, *(field.modulus or ()))
+    return " ".join(["field", _SLC_NAMES[field.kind], *map(str, numbers)])
 
 
 def emit_slc(circuit: CircuitFactorization) -> str:

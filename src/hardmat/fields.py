@@ -21,7 +21,14 @@ import sys
 from functools import lru_cache
 from math import log10
 
-from .budgets import MAX_EXPONENT_BITS, Record, _decimal, is_prime
+from .budgets import (
+    EXTENSION_BITS_CAP,
+    MAX_EXPONENT_BITS,
+    Record,
+    _decimal,
+    charge,
+    is_prime,
+)
 
 # ``fppoly`` is imported only where an extension field is used, so calls over
 # prime fields, Q and Z do not load it; ``fractions`` only where a rational is
@@ -97,14 +104,6 @@ class FieldDescriptor(Record):
     def degree(self) -> int | None:
         return None if self.modulus is None else len(self.modulus) - 1
 
-    def modulus_is_irreducible(self) -> bool:
-        """Check the extension invariant (g irreducible over F_p)."""
-        if self.kind != KIND_EXTENSION:
-            raise ValueError("only extension fields carry a modulus")
-        from . import fppoly
-
-        return fppoly.is_irreducible(self.modulus, self.p)
-
     def __repr__(self) -> str:  # keep reprs short for big moduli
         if self.kind == KIND_PRIME:
             return f"F_{self.p}"
@@ -136,9 +135,19 @@ def find_irreducible(p: int, d: int) -> tuple[int, ...]:
     """
     if not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
+    _charge_extension(p, d)
     from . import fppoly
 
     return fppoly.find_irreducible_coeffs(p, d)
+
+
+def _charge_extension(p: int, d: int) -> None:
+    """Refuse F_p[z]/(g) with deg g = d past EXTENSION_BITS_CAP bits per element."""
+    message = (
+        "an extension of degree {d} over F_{p} takes {used} bits per element, "
+        "past the cap of {cap}"
+    )
+    charge(d * (p - 1).bit_length(), message, EXTENSION_BITS_CAP, d=d, p=p)
 
 
 # ---------------------------------------------------------------------------
@@ -480,23 +489,37 @@ def descriptor_from_json(obj) -> FieldDescriptor:
     if not isinstance(obj, dict) or "kind" not in obj:
         raise ValueError("field descriptor must be an object with a 'kind'")
     kind = obj["kind"]
-    if kind in (KIND_RATIONAL, KIND_INTEGER):
-        return FieldDescriptor(kind)
+    if kind not in (KIND_PRIME, KIND_EXTENSION):
+        return _outside_field(kind)  # Q, Z, or refused as an unknown kind
+    p = _as_int(obj.get("p"), "p")
     if kind == KIND_PRIME:
-        return prime_field(_as_int(obj.get("p"), "p"))
+        return _outside_field(kind, p)
+    raw_mod = obj.get("modulus")
+    if not isinstance(raw_mod, (list, tuple)) or len(raw_mod) < 2:
+        raise ValueError("extension modulus must be an array of residues")
+    modulus = tuple(_parse_decimal(c) for c in raw_mod)
+    return _outside_field(kind, p, modulus, obj.get("degree", _UNDECLARED))
+
+
+_UNDECLARED = object()  # a JSON extension descriptor without a "degree"
+
+
+def _outside_field(kind, p=None, modulus=None, degree=_UNDECLARED) -> FieldDescriptor:
+    """The one gate for a field read from outside (matrix JSON, ``.slc``
+    headers), given its kind and parsed integers: builds the descriptor,
+    compares a declared JSON ``degree``, charges the extension's size, then
+    re-checks that the modulus is irreducible.
+    """
+    field = FieldDescriptor(kind, p, modulus)
     if kind == KIND_EXTENSION:
-        p = _as_int(obj.get("p"), "p")
-        raw_mod = obj.get("modulus")
-        if not isinstance(raw_mod, (list, tuple)) or len(raw_mod) < 2:
-            raise ValueError("extension modulus must be an array of residues")
-        modulus = tuple(_parse_decimal(c) for c in raw_mod)
-        field = extension_field(p, modulus)
-        if "degree" in obj and _as_int(obj["degree"], "degree") != field.degree:
+        if degree is not _UNDECLARED and _as_int(degree, "degree") != field.degree:
             raise ValueError("declared degree disagrees with the modulus")
-        if not field.modulus_is_irreducible():
+        _charge_extension(p, field.degree)
+        from . import fppoly
+
+        if not fppoly.is_irreducible(field.modulus, p):
             raise ValueError("extension modulus is not irreducible")
-        return field
-    raise ValueError(f"unknown field kind {kind!r}")
+    return field
 
 
 def _as_int(value, name: str) -> int:

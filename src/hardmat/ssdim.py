@@ -24,6 +24,7 @@ from itertools import combinations
 
 from .budgets import (
     CERTIFY_BITS_CAP,
+    GAMMA_RANK_CAP,
     SIGMA_VALUE_CAP,
     Record,
     _decimal,
@@ -67,10 +68,8 @@ class BoundEvaluation(Record):
     log2_gamma_lower: Decimal
 
 
-def pi_t(M: ExactMatrix, t: int, budget: int | None = None) -> ProductFamily:
-    """Products over all t-subsets of entry positions (positions, not values)."""
-    from .fields import ops_for
-
+def _subset_count(M: ExactMatrix, t: int, budget: int | None) -> int:
+    """The number of t-subsets of entry positions, charged against the budget."""
     positions = M.rows * M.cols
     if t < 1 or t > positions:
         raise ValueError(f"t must lie in [1, {positions}], got {t}")
@@ -80,6 +79,14 @@ def pi_t(M: ExactMatrix, t: int, budget: int | None = None) -> ProductFamily:
     if count is None:  # stopped before its last factor: print only the cap
         count, message = cap + 1, "the subsets exceed the budget {cap}"
     charge(count, message, cap)
+    return count
+
+
+def pi_t(M: ExactMatrix, t: int, budget: int | None = None) -> ProductFamily:
+    """Products over all t-subsets of entry positions (positions, not values)."""
+    from .fields import ops_for
+
+    count = _subset_count(M, t, budget)
     mul = ops_for(M.field).mul
     values = []
     for subset in combinations(M.entries, t):
@@ -97,6 +104,8 @@ def gamma_t(
 
     Extension-field entries are expanded into coefficient vectors over the
     prime base; entries already in the base field span at most a line.
+    Over an extension, the rank's cell updates are charged against
+    GAMMA_RANK_CAP before any product is formed.
     """
     # A module global, as a top-level import would bind it: span tracers
     # that patch module attributes find a private helper where it is bound.
@@ -104,14 +113,23 @@ def gamma_t(
     from .fields import KIND_EXTENSION, KIND_INTEGER, KIND_PRIME, KIND_RATIONAL, ops_for
     from .matrices import _rank_rows
 
-    fam = pi_t(M, t, budget=budget)
-    distinct = fam.distinct_values()
     kind = M.field.kind
     if kind == KIND_EXTENSION:
+        subsets, degree = _subset_count(M, t, budget), M.field.degree
         if base.kind != KIND_PRIME or base.p != M.field.p:
             raise ValueError(
                 f"base {base!r} is not the prime subfield of {M.field!r}"
             )
+        # pivot k clears at most subsets - 1 - k rows of deg g cells
+        m = min(subsets, degree)
+        message = (
+            "the rank of {subsets} products of {degree} coefficients takes up "
+            "to {used} cell updates, past the cap of {cap}"
+        )
+        updates = degree * m * (2 * subsets - m - 1) // 2
+        charge(updates, message, GAMMA_RANK_CAP, subsets=subsets, degree=degree)
+    distinct = pi_t(M, t, budget=budget).distinct_values()
+    if kind == KIND_EXTENSION:
         return _rank_rows(base, [list(v) for v in distinct])
     if kind in (KIND_PRIME, KIND_RATIONAL) and base == M.field:
         is_zero = ops_for(M.field).is_zero

@@ -73,6 +73,17 @@ ROWS = [
      "n^2 * (d*t)^d takes up to 4653 bits, past the certify cap of 4096"),
     ("sigma bound digits", {}, "bound_eval(1360000, 1, 1360000, 3000)",
      "log2_sigma_upper has 1000053 integer digits, past the budget of 1000000"),
+    ("extension size, irreducible scan", {}, "find_irreducible(3, 7681)",
+     "an extension of degree 7681 over F_3 takes 15362 bits per element, "
+     "past the cap of 10241"),
+    ("extension size, .slc header", {}, "parse_slc('field ext 2 1 ' + '0 ' * 10241 + '1')",
+     "an extension of degree 10242 over F_2 takes 10242 bits per element, "
+     "past the cap of 10241"),
+    ("gamma_t rank", {},
+     "gamma_t(identity(extension_field(2, [1649 >> i & 1 for i in range(1281)] + [1]), 6),"
+     " 3, prime_field(2))",
+     "the rank of 7140 products of 1281 coefficients takes up to 10664605539 cell "
+     "updates, past the cap of 260000000"),
 ]
 
 # The names a call may use.

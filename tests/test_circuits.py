@@ -131,6 +131,90 @@ class TestParse:
             parse_slc(text)
         assert (err.value.line, err.value.column) == (line, column)
 
+    @pytest.mark.parametrize(
+        "text, message, line, column",
+        [
+            ("field\n", "missing field kind", 1, 1),
+            ("field prime\n", "'field prime' takes exactly one modulus", 1, 7),
+            ("field prime 5 7\n", "'field prime' takes exactly one modulus", 1, 7),
+            ("field prime 4\n", "p must be prime, got 4", 1, 13),
+            ("field prime -5\n", "primality is defined for nonnegative integers", 1, 13),
+            (
+                "field ext 2 1\n",
+                "'field ext' takes p and at least two modulus coefficients",
+                1,
+                7,
+            ),
+            ("field ext 4 1 1 1\n", "p must be prime, got 4", 1, 11),
+            ("field ext 5 1 1 2\n", "modulus must be monic", 1, 11),
+            ("field ext 2 1 2 1\n", "modulus coefficients must be residues mod 2", 1, 11),
+            ("field ext 2 1 0 1\n", "extension modulus is not irreducible", 1, 11),
+            ("field ext 2 1 x 1\n", "modulus coefficient: not a decimal integer: 'x'", 1, 15),
+            ("field rational x\n", "unexpected token 'x'", 1, 16),
+            ("field integer 5\n", "unexpected token '5'", 1, 15),
+            (
+                "field ext 2 1 1 1\nlayer 1 1\n1 1 1:0:1\nend\n",
+                "3 coefficients exceed the degree 2",
+                3,
+                5,
+            ),
+            (
+                "field prime 2\nlayer 1 1\nlayer 1 1\nend\n",
+                "previous layer was not closed with 'end'",
+                3,
+                1,
+            ),
+            ("field prime 2\nlayer 1\nend\n", "'layer' takes rows and cols", 2, 1),
+            ("field prime 2\nlayer 0 1\nend\n", "layer dimensions must be positive", 2, 1),
+            ("field prime 2\nend\n", "'end' outside a layer", 2, 1),
+            ("field prime 2\nlayer 1 1\nend x\n", "unexpected token after 'end'", 3, 5),
+            ("field prime 2\n1 1 1\n", "expected 'layer' or 'end', got '1'", 2, 1),
+            (
+                "field prime 2\nlayer 1 1\n1 1\nend\n",
+                "a triplet line is '<row> <col> <value>'",
+                3,
+                1,
+            ),
+            ("field prime 2\nlayer 1 1\n1 2 1\nend\n", "col 2 outside 1..1", 3, 3),
+        ],
+        ids=[
+            "missing-kind",
+            "prime-no-modulus",
+            "prime-two-moduli",
+            "prime-not-prime",
+            "prime-negative",
+            "ext-too-few",
+            "ext-p-not-prime",
+            "ext-not-monic",
+            "ext-coefficient-not-residue",
+            "ext-reducible",
+            "ext-coefficient-not-decimal",
+            "rational-extra-token",
+            "integer-extra-token",
+            "ext-value-past-degree",
+            "layer-not-closed",
+            "layer-arity",
+            "layer-zero-rows",
+            "end-outside-layer",
+            "end-extra-token",
+            "triplet-outside-layer",
+            "triplet-arity",
+            "col-out-of-range",
+        ],
+    )
+    def test_raise_site_message_and_location(self, text, message, line, column):
+        """Each raise site of the parser, by its exact text and location."""
+        with pytest.raises(SlcParseError) as err:
+            parse_slc(text)
+        assert (err.value.line, err.value.column) == (line, column)
+        assert str(err.value) == f"line {line}, col {column}: {message}"
+
+    def test_non_text_input(self):
+        with pytest.raises(SlcParseError) as err:
+            parse_slc(b"field prime 2\n")
+        assert (err.value.line, err.value.column) == (None, None)
+        assert str(err.value) == "input must be text"
+
     @settings(max_examples=300)
     @given(st.text(max_size=200))
     def test_totality_on_arbitrary_text(self, text):

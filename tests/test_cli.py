@@ -3,6 +3,7 @@
 import io
 import json
 import os
+import random
 import shlex
 import subprocess
 import sys
@@ -423,6 +424,91 @@ class TestSsdimCommands:
         blob = json.dumps(matrix_to_json(identity(prime_field(5), 2)))
         result = run(["ssdim", "gamma", "--t", "1"], blob, monkeypatch)
         assert result.payload["value"] == 1
+
+
+# z^1281 + the bits of 1649: the modulus `hard finite --p 2 --n 3 --t 2` finds.
+GF2_1281 = extension_field(2, [1649 >> i & 1 for i in range(1281)] + [1])
+
+
+def _past_extension_cap(degree: int) -> str:
+    return (
+        f"an extension of degree {degree} over F_2 takes {degree} bits per "
+        "element, past the cap of 10241"
+    )
+
+
+class TestExtensionCaps:
+    """Extensions past 10,241 bits per element, and gamma_t ranks past
+    2.6 * 10^8 cell updates, exit 3 within a second: before the irreducible
+    scan, the load-time re-check, or any product."""
+
+    def refusal(self, argv, stdin_text, monkeypatch, capsys) -> str:
+        monkeypatch.setattr(sys, "stdin", io.StringIO(stdin_text))
+        start = time.perf_counter()
+        assert main(argv) == 3
+        assert time.perf_counter() - start < 1
+        lines = capsys.readouterr().out.splitlines()
+        assert len(lines) == 1
+        error = json.loads(lines[0])["error"]
+        assert error["type"] == "budget"
+        return error["message"]
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (
+                "--p 3 --n 3 --t 3",
+                "an extension of degree 7681 over F_3 takes 15362 bits per element, "
+                "past the cap of 10241",
+            ),
+            ("--p 2 --n 7 --t 2", _past_extension_cap(215641)),
+        ],
+        ids=["p3-n3-t3", "p2-n7-t2"],
+    )
+    def test_hard_finite_past_the_cap(self, monkeypatch, capsys, args, message):
+        argv = ["hard", "finite", *args.split()]
+        assert self.refusal(argv, "", monkeypatch, capsys) == message
+
+    def test_matrix_json_modulus_past_the_cap(self, monkeypatch, capsys):
+        """z^10242 + 1 = (z^5121 + 1)^2 is refused by size, not re-checked."""
+        field = {"kind": "extension", "p": 2, "modulus": ["1"] + ["0"] * 10241 + ["1"]}
+        blob = json.dumps({"field": field, "rows": 1, "cols": 1, "entries": [["1"]]})
+        message = self.refusal(["ssdim", "gamma", "--t", "1"], blob, monkeypatch, capsys)
+        assert message == _past_extension_cap(10242)
+
+    def test_slc_header_modulus_past_the_cap(self, monkeypatch, capsys):
+        text = "field ext 2 1" + " 0" * 10241 + " 1\nlayer 1 1\nend\n"
+        message = self.refusal(["circuit", "parse"], text, monkeypatch, capsys)
+        assert message == _past_extension_cap(10242)
+
+    @pytest.mark.parametrize("source", ["json", "slc"])
+    def test_cap_is_inclusive(self, monkeypatch, source):
+        """At 10,241 bits the modulus is re-checked: z^10241 + 1 has the
+        factor z + 1."""
+        coeffs = ["1"] + ["0"] * 10240 + ["1"]
+        message = "extension modulus is not irreducible"
+        if source == "json":
+            field = {"kind": "extension", "p": 2, "modulus": coeffs}
+            stdin = json.dumps({"field": field, "rows": 1, "cols": 1, "entries": [[]]})
+            argv = ["ssdim", "gamma", "--t", "1"]
+        else:
+            stdin = "field ext 2 " + " ".join(coeffs) + "\nlayer 1 1\nend\n"
+            argv, message = ["circuit", "parse"], "line 1, col 11: " + message
+        result = run(argv, stdin, monkeypatch)
+        assert result.exit_code == 1
+        assert result.payload["error"]["message"] == message
+
+    def test_gamma_rank_past_the_cap(self, monkeypatch, capsys):
+        """A dense 6 x 6 matrix over F_2[z]/(g), deg g = 1281: t = 2 ranks
+        630 products (~9 s), t = 3 would rank 7140 (~7 min)."""
+        rng = random.Random(0)
+        entries = [[str(rng.randrange(2)) for _ in range(1281)] for _ in range(36)]
+        blob = json.dumps({**matrix_to_json(identity(GF2_1281, 6)), "entries": entries})
+        message = self.refusal(["ssdim", "gamma", "--t", "3"], blob, monkeypatch, capsys)
+        assert message == (
+            "the rank of 7140 products of 1281 coefficients takes up to "
+            "10664605539 cell updates, past the cap of 260000000"
+        )
 
 
 class TestHittingCommands:

@@ -511,6 +511,53 @@ class TestDescriptors:
                 {"kind": "extension", "p": 2, "modulus": ["1", "1", "1"], "degree": 3}
             )
 
+    @pytest.mark.parametrize(
+        "obj, message",
+        [
+            ({"kind": "y", "p": "x"}, "unknown field kind 'y'"),
+            ({"kind": ["prime"]}, "unknown field kind ['prime']"),
+            ({"kind": "rational", "p": 5}, None),
+            ({"kind": "prime", "p": None}, "p must be an integer"),
+            ({"kind": "prime", "p": "-5"}, "primality is defined for nonnegative integers"),
+            (
+                {"kind": "extension", "p": 4, "modulus": ["1", "1", "1"], "degree": "x"},
+                "p must be prime, got 4",
+            ),
+            (
+                {"kind": "extension", "p": 2, "modulus": ["1", "1", "0"], "degree": "x"},
+                "modulus must be monic",
+            ),
+            (
+                {"kind": "extension", "p": 2, "modulus": ["1", "0", "1"], "degree": 3},
+                "declared degree disagrees with the modulus",
+            ),
+            (
+                {"kind": "extension", "p": 2, "modulus": ["1", "0", "1"], "degree": None},
+                "degree must be an integer",
+            ),
+            (
+                {"kind": "extension", "p": 2, "modulus": ["1", "0", "1"], "degree": "2"},
+                "extension modulus is not irreducible",
+            ),
+            ({"kind": "extension", "p": 2, "modulus": ["1"]},
+             "extension modulus must be an array of residues"),
+        ],
+    )
+    def test_messages_in_check_order(self, obj, message):
+        """p, then the coefficients, then a declared degree, then
+        irreducibility: the first failing check names the defect."""
+        if message is None:
+            assert descriptor_from_json(obj) == RATIONAL_FIELD
+            return
+        with pytest.raises(ValueError) as err:
+            descriptor_from_json(obj)
+        assert str(err.value) == message
+
+    def test_unprovable_p_is_a_budget_refusal_before_the_degree(self):
+        obj = {"kind": "extension", "p": 10**30, "modulus": ["1", "1"], "degree": "x"}
+        with pytest.raises(BudgetExceeded, match="exceeds the primality bound"):
+            descriptor_from_json(obj)
+
     @settings(max_examples=300)
     @given(
         st.fixed_dictionaries(
