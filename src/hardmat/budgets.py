@@ -12,10 +12,11 @@ enumeration budget for that call.
 
 The module also holds the dependency-free helpers every layer needs:
 :func:`is_prime`, exact up to :data:`PRIMALITY_BOUND`; :func:`comb_within`,
-a binomial that stops once it passes a cap; :func:`_decimal`, ``str`` of an
-int past Python's digit limit; and :class:`Record`, the frozen value-record
-base of the toolkit's result types.  Keeping them here lets a layer avoid
-importing ``fields`` or ``dataclasses`` for them.  ``is_prime`` is public as
+a binomial that stops once it passes a cap, and :func:`charge_comb`, which
+charges it; :func:`_decimal`, ``str`` of an int past Python's digit limit;
+and :class:`Record`, the frozen value-record base of the toolkit's result
+types.  Keeping them here lets a layer avoid importing ``fields`` or
+``dataclasses`` for them.  ``is_prime`` is public as
 ``hardmat.fields.is_prime``, which re-exports it.
 """
 
@@ -40,6 +41,7 @@ __all__ = [
     "MAX_EXPONENT_BITS",
     "CERTIFY_BITS_CAP",
     "charge",
+    "charge_comb",
     "comb_within",
     "enumeration_budget",
     "Record",
@@ -151,6 +153,16 @@ def charge(used: int, message: str, cap: int | None = None, **fields) -> None:
         with _no_int_digit_limit():
             text = message.format(used=used, cap=cap, **fields)
         raise BudgetExceeded(text)
+
+
+def charge_comb(n: int, k: int, message: str, cap: int) -> int:
+    """Charge comb(n, k) against ``cap`` and return it; a binomial known to
+    pass the cap before its last factor prints ``{used}`` as ``the``."""
+    count = comb_within(n, k, cap)
+    if count is None:
+        charge(cap + 1, message.replace("{used}", "the"), cap)
+    charge(count, message, cap)
+    return count
 
 
 def comb_within(n: int, k: int, cap: int) -> int | None:

@@ -369,7 +369,9 @@ def min_depth2_sparsity(
     is raised on reaching pair budget + 1.
 
     Only the supports that pass their own pruning are generated (see the
-    module docstring); the pairs of a B support are counted in bulk.
+    module docstring); the pairs of a B support are counted in bulk.  The
+    witness is multiplied out with verify_factorization before it is
+    returned; a mismatch raises RuntimeError.
     """
     field = A.field
     if field.kind != KIND_PRIME or field.p > 3:
@@ -435,6 +437,9 @@ def min_depth2_sparsity(
                         )
                         if hit is not None:
                             witness = _build_witness(field, n, m, b_pos, c_pos, hit)
+                            if not verify_factorization(witness, A).equal:
+                                message = "depth-2 witness does not multiply out to A"
+                                raise RuntimeError(message)
                             return SearchResult(
                                 s, witness, nodes + idx + 1, s_max, m_max
                             )

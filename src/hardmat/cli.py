@@ -69,21 +69,13 @@ def _bundle_payload(bundle: HardMatrixBundle) -> dict:
 
 
 def _verdict_payload(verdict) -> dict:
+    """The verdict's fields in order, without the unset ones (None or "")."""
     from .fields import RATIONAL_FIELD, encode_element
 
-    payload = {"kind": verdict.kind, "bound": verdict.bound}
-    if verdict.sparsity is not None:
-        payload["sparsity"] = verdict.sparsity
-    if verdict.witness_entry is not None:
-        payload["witness_entry"] = list(verdict.witness_entry)
-    if verdict.witness_index is not None:
-        payload["witness_index"] = verdict.witness_index
-    if verdict.witness_output is not None:
-        payload["witness_output"] = verdict.witness_output
-    if verdict.value is not None:
-        payload["value"] = encode_element(RATIONAL_FIELD, verdict.value)
-    if verdict.detail:
-        payload["detail"] = verdict.detail
+    fields = zip(verdict._fields, verdict._values(verdict))
+    payload = {name: v for name, v in fields if v is not None and v != ""}
+    if "value" in payload:
+        payload["value"] = encode_element(RATIONAL_FIELD, payload["value"])
     return payload
 
 

@@ -128,10 +128,11 @@ def find_irreducible(p: int, d: int) -> tuple[int, ...]:
     """Deterministic monic irreducible of degree d over F_p.
 
     Enumerates monic candidates with the constant term varying fastest and
-    returns the first that passes the exact irreducibility test: Ben-Or
-    gcd steps, one gcd per block, up to a window fixed by (p, d), then
-    Rabin's test on the survivors; see fppoly._irreducible.  Coefficients
-    are low-degree-first.
+    returns the first that passes an exact irreducibility test: Capelli's
+    criterion for the binomials z^d + c, else Ben-Or gcd steps, one gcd per
+    block, up to a window fixed by (p, d), then Rabin's test on the
+    survivors; see fppoly.find_irreducible_coeffs.  Coefficients are
+    low-degree-first.
     """
     if not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
@@ -427,9 +428,8 @@ def encode_element(field: FieldDescriptor, x):
         return str(x)
     if field.kind == KIND_EXTENSION:
         return [str(c) for c in x]
-    if field.kind == KIND_RATIONAL:
-        f = ops._fraction(x)
-        return f"{_decimal(f.numerator)}/{_decimal(f.denominator)}"
+    if field.kind == KIND_RATIONAL:  # an int or a Fraction in lowest terms
+        return f"{_decimal(x.numerator)}/{_decimal(x.denominator)}"
     return _decimal(x)
 
 

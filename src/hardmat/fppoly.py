@@ -18,12 +18,15 @@ multiplies h_i - z, with h_i = z^(p^i) mod g, into a product mod g, and each
 block pays one gcd of g with that product.  Survivors of a window shorter
 than d/2 get the rest of Rabin's test: z^(p^d) = z mod g, and
 gcd(g, z^(p^(d/r)) - z) = 1 for each prime r | d with d/r past the window.
+The irreducible search decides its first p candidates, the binomials
+z^d + c, by Capelli's criterion instead: a few modular powers each.
 """
 
 from __future__ import annotations
 
 import struct
 from functools import lru_cache
+from math import gcd
 
 from .budgets import IRREDUCIBLE_SCAN_BUDGET, charge
 
@@ -64,10 +67,6 @@ def ring(g: Poly, p: int):
 #: Little-endian struct formats by slot width in bytes; wider slots are
 #: converted one at a time.
 _FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"}
-
-#: Largest p whose slots are reduced byte-wise with ``bytes.translate``: a
-#: byte folded onto another stays below p * (p - 1) < 256.
-_TRANSLATE_MAX_P = 13
 
 #: Byte maps between 0/1 coefficients and the binary digits of a bitmask.
 _TO_DIGITS = bytes.maketrans(b"\0\1", b"01")
@@ -148,7 +147,9 @@ def _fp_layout(p: int, d: int) -> tuple:
     bound = 2 * d * (p - 1) ** 2
     width = 1 << ((bound.bit_length() + 7) // 8 - 1).bit_length()
     fmt = _FORMATS.get(width)
-    if not fmt or p > _TRANSLATE_MAX_P:
+    # Slots are reduced byte-wise with ``bytes.translate`` while a byte
+    # folded onto another stays below p * (p - 1) < 256 (p <= 13).
+    if not fmt or p * (p - 1) >= 256:
         return width, fmt, None, None
     # Each byte of a slot goes to its residue mod p; then the high half of
     # each slot folds onto the low half as hi * 2^s mod p, down to one byte.
@@ -381,6 +382,13 @@ class _FpRing:
         return self._reduce((x + q * self._neg_low) & self._low)
 
 
+def _prime_factors(d: int) -> list[int]:
+    """The primes dividing d, by trial division."""
+    return [
+        r for r in range(2, d + 1) if d % r == 0 and all(r % f for f in range(2, r))
+    ]
+
+
 def _window(p: int, d: int) -> int:
     """Last Ben-Or step run in blocks before Rabin's test takes over.
 
@@ -437,11 +445,7 @@ def _irreducible(ring) -> bool:
         i = end + 1
     if i > half:
         return True
-    checks = {
-        d // r
-        for r in range(2, d + 1)
-        if d % r == 0 and d // r >= i and all(r % f for f in range(2, r))
-    }
+    checks = {d // r for r in _prime_factors(d) if d // r >= i}
     for i in range(i, d + 1):
         h = ring.frob(h)
         if i in checks and not ring.coprime(ring.g, ring.minus_z(h)):
@@ -469,18 +473,54 @@ def _digits(p: int, d: int, k: int) -> Poly:
     return tuple(low) + (0,) * (d - len(low))
 
 
+def _binomial_test(p: int, d: int):
+    """Whether z^d + k is irreducible over F_p, as a function of 0 <= k < p,
+    for d >= 2; None when no such binomial is.
+
+    Capelli's criterion (Lang, Algebra, VI section 9): z^d - a is
+    irreducible iff a is not an r-th power for any prime r | d, and
+    a is not in -4 F_p^4 when 4 | d.  A nonzero a is an r-th power iff
+    r does not divide p - 1 or a^((p-1)/r) = 1.
+    """
+    primes = _prime_factors(d)
+    if any((p - 1) % r for r in primes):
+        return None  # every a is an r-th power
+    powers = [(p - 1) // r for r in primes]
+    quarter = pow(4, -1, p) if d % 4 == 0 else None  # p is odd: 2 | p - 1
+    fourth = (p - 1) // gcd(4, p - 1)  # x != 0 is a 4th power iff x^fourth = 1
+
+    def irreducible(k: int) -> bool:
+        a = -k % p
+        if k == 0 or any(pow(a, e, p) == 1 for e in powers):
+            return False
+        # a in -4 F_p^4 iff -a/4 = k/4 is a fourth power
+        return quarter is None or pow(k * quarter % p, fourth, p) != 1
+
+    return irreducible
+
+
 def find_irreducible_coeffs(p: int, d: int) -> Poly:
     """First monic irreducible of degree d over F_p in counting order.
 
     Candidates are z^d + c_{d-1} z^{d-1} + ... + c_0 enumerated with the
     constant term varying fastest (the low part read as a base-p counter),
     so the result is the lexicographically-first coefficient tuple in that
-    order.  Deterministic; raises BudgetExceeded after
+    order.  For d >= 2 the first p candidates, the binomials z^d + c, are
+    decided by Capelli's criterion (_binomial_test), and the rest by the
+    Ben-Or test.  Deterministic; raises BudgetExceeded after
     IRREDUCIBLE_SCAN_BUDGET candidates.
     """
     if d < 1:
         raise ValueError("degree must be at least 1")
-    for k in range(min(IRREDUCIBLE_SCAN_BUDGET, p**d)):
+    count, start = min(IRREDUCIBLE_SCAN_BUDGET, p**d), 0
+    if d > 1:
+        start = min(p, count)
+        test = _binomial_test(p, d)
+        if test is not None:
+            for k in range(start):
+                if test(k):
+                    return _digits(p, d, k) + (1,)
+    for k in range(start, count):
         if p == 2:
             candidate = _F2Ring((1 << d) | k, d)
         else:

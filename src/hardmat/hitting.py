@@ -289,7 +289,7 @@ def build_hard_psd(n: int) -> PsdPair:
     rows of N are zero); v_i^T N^T N v_i = 0 for i <= n/2; rank m = n/2.
     The rank is at most n/2 as N^T N sums n/2 rank-one terms, and at least
     n/2 when N^T N has rank n/2 mod a prime (a minor nonzero mod p is
-    nonzero); a short mod-p rank defers to the exact rank over Q.
+    nonzero); mod 2^31 - 1 it has for every even n <= PSD_MAX_N.
     """
     if n < 2 or n % 2:
         raise ValueError(f"n must be even and positive, got {n}")
@@ -308,9 +308,7 @@ def build_hard_psd(n: int) -> PsdPair:
         if sum(map(mul, v, (sum(map(mul, row, v)) for row in gram))):
             raise RuntimeError("psd construction: v_i^T m v_i != 0")
     mod_p = [[x % _RANK_PRIME for x in row] for row in gram]
-    if _rank_rows(prime_field(_RANK_PRIME), mod_p) != half and (
-        _rank_rows(RATIONAL_FIELD, [row[:] for row in gram]) != half
-    ):
+    if _rank_rows(prime_field(_RANK_PRIME), mod_p) != half:
         raise RuntimeError("psd construction: rank(m) != n/2")
     from fractions import Fraction
 

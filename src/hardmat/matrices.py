@@ -15,7 +15,6 @@ from math import lcm
 from .budgets import Record
 from .fields import (
     KIND_INTEGER,
-    KIND_PRIME,
     KIND_RATIONAL,
     RATIONAL_FIELD,
     FieldDescriptor,
@@ -193,7 +192,6 @@ def echelon(field: FieldDescriptor, rows: list, reduce: bool = False):
     bareiss = field.kind == KIND_RATIONAL
     if bareiss:
         rows = [_integer_row(r) for r in rows]
-    p = field.p if field.kind == KIND_PRIME else None
     pivots: list[int] = []
     prev = 1  # the previous pivot, Bareiss's divisor
     for c in range(len(rows[0]) if rows else 0):
@@ -211,9 +209,6 @@ def echelon(field: FieldDescriptor, rows: list, reduce: bool = False):
                 continue
             if bareiss:
                 rows[i] = [(pv * x - f * y) // prev for x, y in zip(row, prow)]
-            elif p:
-                f = f * inv % p
-                rows[i] = [(x - f * y) % p for x, y in zip(row, prow)]
             else:
                 f = mul(f, inv)
                 rows[i] = [sub(x, mul(f, y)) for x, y in zip(row, prow)]

@@ -18,7 +18,7 @@ from .budgets import (
     Record,
     _decimal,
     charge,
-    comb_within,
+    charge_comb,
     is_prime,
 )
 
@@ -38,11 +38,7 @@ class SidonSet(Record):
 
 def _charge_sums(size: int, t: int) -> None:
     """Refuse more than SIDON_SUM_CAP sums of t of size values."""
-    count = comb_within(size, t, SIDON_SUM_CAP)
-    message = "{used} subset sums exceed the cap of {cap}"
-    if count is None:  # stopped before its last factor: print only the cap
-        count, message = SIDON_SUM_CAP + 1, "the subset sums exceed the cap of {cap}"
-    charge(count, message, SIDON_SUM_CAP)
+    charge_comb(size, t, "{used} subset sums exceed the cap of {cap}", SIDON_SUM_CAP)
 
 
 def _tsums_distinct(values, t: int) -> bool:

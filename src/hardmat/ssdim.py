@@ -29,7 +29,7 @@ from .budgets import (
     Record,
     _decimal,
     charge,
-    comb_within,
+    charge_comb,
     enumeration_budget,
 )
 
@@ -73,13 +73,8 @@ def _subset_count(M: ExactMatrix, t: int, budget: int | None) -> int:
     positions = M.rows * M.cols
     if t < 1 or t > positions:
         raise ValueError(f"t must lie in [1, {positions}], got {t}")
-    cap = enumeration_budget(budget)
-    count = comb_within(positions, t, cap)
     message = "{used} subsets exceed the budget {cap}"
-    if count is None:  # stopped before its last factor: print only the cap
-        count, message = cap + 1, "the subsets exceed the budget {cap}"
-    charge(count, message, cap)
-    return count
+    return charge_comb(positions, t, message, enumeration_budget(budget))
 
 
 def pi_t(M: ExactMatrix, t: int, budget: int | None = None) -> ProductFamily:
@@ -110,7 +105,7 @@ def gamma_t(
     # A module global, as a top-level import would bind it: span tracers
     # that patch module attributes find a private helper where it is bound.
     global _rank_rows
-    from .fields import KIND_EXTENSION, KIND_INTEGER, KIND_PRIME, KIND_RATIONAL, ops_for
+    from .fields import KIND_EXTENSION, KIND_INTEGER, KIND_PRIME, KIND_RATIONAL
     from .matrices import _rank_rows
 
     kind = M.field.kind
@@ -131,10 +126,9 @@ def gamma_t(
     distinct = pi_t(M, t, budget=budget).distinct_values()
     if kind == KIND_EXTENSION:
         return _rank_rows(base, [list(v) for v in distinct])
-    if kind in (KIND_PRIME, KIND_RATIONAL) and base == M.field:
-        is_zero = ops_for(M.field).is_zero
-        return 0 if all(is_zero(v) for v in distinct) else 1
-    if kind == KIND_INTEGER and base.kind in (KIND_RATIONAL, KIND_INTEGER):
+    if (kind in (KIND_PRIME, KIND_RATIONAL) and base == M.field) or (
+        kind == KIND_INTEGER and base.kind in (KIND_RATIONAL, KIND_INTEGER)
+    ):
         return 0 if all(v == 0 for v in distinct) else 1
     raise ValueError(f"cannot take the span of {M.field!r} entries over {base!r}")
 

@@ -59,6 +59,7 @@ class TestSidonCommand:
             ('{"grid": [[1, 2], [4.0, 3]]}', "grid[1][0]"),
             ('{"grid": [[1, 2], 3]}', "grid[1]"),
             ('{"grid": 5}', "grid"),  # was a TypeError traceback
+            ("5", "expected a sidon JSON object or a plain array"),
         ],
     )
     def test_verify_rejects_non_integers(self, monkeypatch, blob, where):
@@ -336,6 +337,14 @@ class TestHardPipelines:
         assert out.out == ""
         assert "invalid finite float value" in out.err
 
+    def test_hard_integers_through_main(self, capsys):
+        assert main(["hard", "integers", "--n", "2", "--t", "1"]) == 0
+        assert capsys.readouterr().out == (
+            '{"provenance":{"construction":"integer","parameters":{"n":2,"t":1}},'
+            '"field":{"kind":"integer-ring"},"rows":2,"cols":2,'
+            '"entries":["2","4","16","8"]}\n'
+        )
+
     def test_trivial_at_its_cap(self):
         # entries up to 2^(2^19), 157,827 digits: past the int/str digit limit
         built = dispatch(["hard", "trivial", "--n", "4"])
@@ -511,6 +520,33 @@ class TestExtensionCaps:
         )
 
 
+class TestBinomialScan:
+    """At a large prime the irreducible scan's first p candidates are the
+    binomials z^d + c, each decided at once by Capelli's criterion.  No
+    z^41 + c is irreducible when 41 does not divide p - 1; each used to cost
+    a Ben-Or test (~22 ms at p = 2^31 - 1, ~6 h to the refusal)."""
+
+    def test_refusal_at_2_31_minus_1(self, capsys):
+        start = time.perf_counter()
+        assert main(["hard", "finite", "--p", "2147483647", "--n", "2", "--t", "1"]) == 3
+        assert time.perf_counter() - start < 2
+        assert json.loads(capsys.readouterr().out) == {
+            "error": {
+                "type": "budget",
+                "message": "no irreducible of degree 41 over F_2147483647 "
+                "within 1000000 candidates",
+            }
+        }
+
+    def test_first_irreducible_past_the_binomials(self):
+        start = time.perf_counter()
+        result = dispatch(["hard", "finite", "--p", "65521", "--n", "2", "--t", "1"])
+        assert time.perf_counter() - start < 3
+        assert result.exit_code == 0
+        # scan index 65585 = 65521 + 64: z^41 + z + 64
+        assert result.payload["field"]["modulus"] == ["64", "1"] + ["0"] * 39 + ["1"]
+
+
 class TestHittingCommands:
     def test_vand_charge_past_the_digit_limit_is_a_budget_refusal(self):
         big = str(10**2500)
@@ -523,6 +559,16 @@ class TestHittingCommands:
             "type": "budget",
             "message": f"{n} Vandermonde probe vectors of length {n} take up to "
             f"{budgets._decimal(digits)} printed digits, past the budget of 1000000",
+        }
+
+    def test_hit_names_a_bad_vector_element(self, monkeypatch):
+        blob = json.dumps(matrix_to_json(identity(prime_field(5), 1)))
+        argv = ["hitting", "hit", "--a", '["x"]', "--b", '["1"]']
+        result = run(argv, blob, monkeypatch)
+        assert result.exit_code == 1
+        assert result.payload["error"] == {
+            "type": "domain",
+            "message": "--a[0]: not a decimal integer: 'x'",
         }
 
     def test_vand(self):
@@ -584,6 +630,29 @@ class TestHittingCommands:
 
 
 class TestPsdCommands:
+    def test_verdict_payload_keeps_every_set_field(self, monkeypatch, tmp_path, capsys):
+        """Fields in record order, unset ones (None, "") left out, a zero kept
+        and the value encoded as a rational.  No genuine pair yields a value,
+        so the refuter is replaced here."""
+        from fractions import Fraction
+
+        from hardmat import hitting
+        from hardmat.fields import RATIONAL_FIELD
+
+        verdict = hitting.RefutationVerdict(
+            "contradiction-witness", 1, sparsity=0, witness_entry=(1, 2),
+            witness_index=1, witness_output=2, value=Fraction(-3, 2), detail="d",
+        )
+        monkeypatch.setattr(hitting, "refute_symmetric", lambda b, pair: verdict)
+        path = tmp_path / "b.json"
+        path.write_text(json.dumps(matrix_to_json(identity(RATIONAL_FIELD, 2))))
+        assert main(["psd", "refute-sym", "--n", "2", "--b", str(path)]) == 0
+        assert capsys.readouterr().out == (
+            '{"kind":"contradiction-witness","bound":1,"sparsity":0,'
+            '"witness_entry":[1,2],"witness_index":1,"witness_output":2,'
+            '"value":"-3/2","detail":"d"}\n'
+        )
+
     def test_build_payload(self):
         result = dispatch(["psd", "build", "--n", "2"])
         assert result.exit_code == 0
@@ -664,6 +733,17 @@ class TestCircuitCommands:
         )
         assert result.exit_code == 0
         assert result.payload == {"equal": True, "size": 4}
+
+    def test_verify_names_the_first_mismatch(self, tmp_path):
+        target = tmp_path / "id2.json"
+        target.write_text(json.dumps(matrix_to_json(identity(prime_field(2), 2))))
+        circuit = tmp_path / "upper.slc"
+        circuit.write_text("field prime 2\nlayer 2 2\n1 1 1\n1 2 1\n2 2 1\nend\n")
+        result = dispatch(
+            ["circuit", "verify", "--target", str(target), "--circuit", str(circuit)]
+        )
+        assert result.exit_code == 0
+        assert result.payload == {"equal": False, "size": 3, "mismatch": [1, 2]}
 
     def test_emit_canonicalizes(self, monkeypatch, tmp_path):
         shuffled = "field prime 2\nlayer 2 2\n2 2 1\n1 1 1\nend\n"

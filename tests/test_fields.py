@@ -56,6 +56,8 @@ class TestFieldArith:
             field_arith(3, 0, "div", F5)
         with pytest.raises(ZeroDivisionError):
             field_arith(extension_generator(GF4), (0, 0), "div", GF4)
+        with pytest.raises(ZeroDivisionError, match="^division by zero$"):
+            field_arith(1, 0, "div", RATIONAL_FIELD)
 
     def test_descriptor_mismatch(self):
         with pytest.raises(ValueError):
@@ -418,6 +420,10 @@ class TestEncodings:
         with pytest.raises(ValueError):
             decode_element(F5, "-1")
         assert decode_element(F5, "4") == 4
+
+    def test_residue_must_be_a_string(self):
+        with pytest.raises(ValueError, match="^expected a decimal string, got int$"):
+            decode_element(F5, 4)
 
     def test_extension_length_enforced(self):
         with pytest.raises(ValueError):

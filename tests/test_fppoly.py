@@ -210,6 +210,40 @@ def test_lex_first_moduli_at_the_benchmark_degrees():
     assert len(g3) == 162 and sum(c * 3**i for i, c in enumerate(g3[:-1])) == 332
 
 
+SMALL_PRIMES = [q for q in range(2, 32) if is_prime(q)]
+
+
+def _binomial(d, k):
+    """z^d + k, low-degree-first."""
+    return (k,) + (0,) * (d - 1) + (1,)
+
+
+def _capelli(p, d):
+    """The k < p with z^d + k irreducible by fppoly's Capelli test."""
+    test = fppoly._binomial_test(p, d)
+    return [k for k in range(p) if test and test(k)]
+
+
+@pytest.mark.parametrize("p", SMALL_PRIMES)
+def test_binomials_by_capelli_match_ben_or(p):
+    # d runs over primes, prime powers and 4 | d, p over 1 and 3 mod 4: for
+    # p = 3 mod 4 and 4 | d the -4 F_p^4 clause refuses every non-square a
+    for d in range(2, 17):
+        expected = [k for k in range(p) if fppoly.is_irreducible(_binomial(d, k), p)]
+        assert _capelli(p, d) == expected, d
+
+
+def test_binomials_against_sympy():
+    sympy = pytest.importorskip("sympy")
+    z = sympy.Symbol("z")
+    for p in (101, 103, BIG_PRIME):
+        for d in (2, 3, 4, 6, 8, 9, 10, 12):
+            test = fppoly._binomial_test(p, d)
+            for k in list(range(12)) + [p - 1, p // 2]:
+                expected = sympy.Poly(z**d + k, z, modulus=p).is_irreducible
+                assert bool(test and test(k)) == expected, (p, d, k)
+
+
 def test_scan_builds_per_degree_tables_once():
     # The F_2 squaring masks and the odd-p slot layout depend only on (p, d),
     # so a scan builds them for its first candidate and reuses them after.

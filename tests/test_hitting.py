@@ -307,20 +307,6 @@ class TestBuildChecksAreLive:
         with pytest.raises(RuntimeError, match=r"rank\(m\) != n/2"):
             build_hard_psd(8)
 
-    def test_short_mod_p_rank_falls_back_to_exact(self, monkeypatch):
-        want = build_hard_psd(8)
-        ranks = []
-        real = hitting._rank_rows
-
-        def spy(field, rows):
-            ranks.append((field.kind, real(field, rows)))
-            return ranks[-1][1]
-
-        monkeypatch.setattr(hitting, "_RANK_PRIME", 7)  # rank 1 mod 7 at n = 8
-        monkeypatch.setattr(hitting, "_rank_rows", spy)
-        assert build_hard_psd(8) == want
-        assert ranks == [("prime", 1), ("rational", 4)]
-
 
 class TestRefuteSymmetric:
     def test_gram_factor_itself(self):

@@ -20,6 +20,7 @@ from hardmat.matrices import (
     identity,
     inverse,
     kronecker,
+    nullspace,
     lift_to_rational,
     matmul,
     matrix_from_json,
@@ -108,6 +109,14 @@ class TestRank:
         with pytest.raises(ValueError):
             rank(a)
         assert rank(lift_to_rational(a)) == 1
+
+    def test_nullspace_over_an_extension_field(self):
+        # over F_9 = F_3[z]/(z^2 + 1), ker [1 z] is spanned by (-z, 1)
+        f9 = extension_field(3, (1, 0, 1))
+        a = from_rows(f9, [[(1, 0), (0, 1)]])
+        assert nullspace(a) == [((0, 2), (1, 0))]
+        column = from_rows(f9, [[x] for x in nullspace(a)[0]])
+        assert matmul(a, column) == zeros(f9, 1, 1)
 
     @settings(max_examples=40)
     @given(data=st.data())
@@ -232,6 +241,11 @@ class TestJson:
     def test_round_trip(self, matrix):
         blob = json.dumps(matrix_to_json(matrix))
         assert matrix_from_json(json.loads(blob)) == matrix
+
+    def test_entries_must_be_an_array(self):
+        obj = {"field": {"kind": "prime", "p": 5}, "rows": 1, "cols": 1, "entries": "1"}
+        with pytest.raises(ValueError, match="^entries must be an array$"):
+            matrix_from_json(obj)
 
     def test_out_of_range_entry(self):
         obj = matrix_to_json(from_rows(F5, [[1, 4], [0, 2]]))

@@ -17,6 +17,7 @@ from math import comb
 
 import pytest
 
+from hardmat import circuits
 from hardmat.budgets import BudgetExceeded, enumeration_budget
 from hardmat.circuits import (
     SearchResult,
@@ -495,6 +496,19 @@ class TestPrunedEnumeration:
             )
             hits += expected is not None
         assert 150 <= hits < 300
+
+    def test_witness_is_multiplied_out(self, monkeypatch):
+        """A column solve that ignores its target gives a witness whose
+        product is not A; the search re-checks it and refuses it."""
+        a = from_rows(prime_field(3), [[1, 0], [0, 1]])
+        assert min_depth2_sparsity(a, s_max=4).s_min == 4
+        monkeypatch.setattr(
+            circuits,
+            "_solve_column",
+            lambda p, target, b_cols, values: (values[-1],) * len(b_cols),
+        )
+        with pytest.raises(RuntimeError, match="^depth-2 witness does not multiply"):
+            min_depth2_sparsity(a, s_max=4)
 
 
 def _kernel_cases():

@@ -106,6 +106,11 @@ class TestGammaT:
         m = from_rows(QQ, [[2, 3], [5, 7]])
         assert gamma_t(m, 1, QQ) == 1
 
+    def test_integer_matrix_over_q_and_z(self):
+        m = from_rows(INTEGER_RING, [[2, 3], [5, 7]])
+        assert gamma_t(m, 2, QQ) == gamma_t(m, 1, INTEGER_RING) == 1
+        assert gamma_t(from_rows(INTEGER_RING, [[0, 0]]), 1, QQ) == 0
+
     def test_base_mismatch_rejected(self):
         b = hard_over_finite(2, 2, 1)
         with pytest.raises(ValueError):
