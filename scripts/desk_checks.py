@@ -5,14 +5,15 @@ Walks through every construction and check at small parameters and prints
 what it found: Sidon grids and their moduli, exact dimension measures of the
 hard instances, certified size bounds, the PSD pair invariants, dual-code
 kernel weights, the amplification law pinned by the search oracle, and the
-start-up time of the command-line front end next to the bare interpreter.
-Exits 1 if a finite-field
+start-up time of the command-line front end next to the bare interpreter,
+and the time to print a big integer.  Exits 1 if a finite-field
 modulus one size step past the benchmark is not the recorded one, if an
 extension-field quotient fails a * (1/a) = 1, if RS(13, 7), one size
 step past the benchmark's RS(13, 8), does not show kernel weight k + 1, or
 if the dense 4x4 F_2 target, one size step past the benchmark's
 upper-triangular search, is not decided as s_min 14 after 271,309,209
-support pairs.
+support pairs, if 2^(2^20) does not print with its length and last digits,
+or if the run changed the interpreter's int/str digit limit.
 """
 
 import math
@@ -24,6 +25,7 @@ import time
 
 import hardmat
 
+from hardmat.budgets import _decimal
 from hardmat.circuits import (
     CircuitFactorization,
     min_depth2_sparsity,
@@ -75,6 +77,7 @@ def startup_seconds(cmd, repeats=5):
 
 def main():
     t0 = time.time()
+    digit_limit = sys.get_int_max_str_digits()
 
     section("CLI start-up, next to the interpreter floor")
     floor = [
@@ -230,6 +233,20 @@ def main():
                 f"dense 4x4 target: s_min {result.s_min} after {result.nodes} "
                 "support pairs, not 14 after 271309209"
             )
+
+    section("Big-integer text: 2^(2^20) printed in blocks under the digit limit")
+    x = 2 ** 2**20
+    t_print = time.perf_counter()
+    text = _decimal(x)
+    ok = len(text) == 315_653 and int(text[-18:]) == pow(2, 2**20, 10**18)
+    print(
+        f"  {len(text)} digits in {time.perf_counter() - t_print:.2f}s, "
+        f"length and last 18 digits right: {ok}"
+    )
+    if not ok:
+        failures.append("2^(2^20) printed with a wrong length or last digits")
+    if sys.get_int_max_str_digits() != digit_limit:
+        failures.append("the run changed the interpreter's int/str digit limit")
 
     print(f"\nall desk checks done in {time.time() - t0:.1f}s")
     for failure in failures:

@@ -13,17 +13,16 @@ enumeration budget for that call.
 The module also holds the dependency-free helpers every layer needs:
 :func:`is_prime`, exact up to :data:`PRIMALITY_BOUND`; :func:`comb_within`,
 a binomial that stops once it passes a cap, and :func:`charge_comb`, which
-charges it; :func:`_decimal`, ``str`` of an int past Python's digit limit;
-and :class:`Record`, the frozen value-record base of the toolkit's result
-types.  Keeping them here lets a layer avoid importing ``fields`` or
-``dataclasses`` for them.  ``is_prime`` is public as
-``hardmat.fields.is_prime``, which re-exports it.
+charges it; :func:`_decimal` and :func:`_digits_to_int`, an int to and
+from decimal text of any length; and :class:`Record`, the frozen
+value-record base of the toolkit's result types.  Keeping them here lets a
+layer avoid importing ``fields`` or ``dataclasses`` for them.  ``is_prime``
+is public as ``hardmat.fields.is_prime``, which re-exports it.
 """
 
 from __future__ import annotations
 
-import sys
-from contextlib import contextmanager
+from functools import lru_cache
 from operator import attrgetter
 
 __all__ = [
@@ -31,6 +30,7 @@ __all__ = [
     "DEFAULT_ENUMERATION_BUDGET",
     "SIDON_PRIME_BUDGET",
     "SIDON_SUM_CAP",
+    "SIDON_SCAN_SUM_CAP",
     "IRREDUCIBLE_SCAN_BUDGET",
     "EXTENSION_BITS_CAP",
     "GAMMA_RANK_CAP",
@@ -63,6 +63,11 @@ SIDON_PRIME_BUDGET = 1_000_000
 
 #: Cap on the number of t-subset sums materialised by the Sidon verifier.
 SIDON_SUM_CAP = 5_000_000
+
+#: Cap on the t-subset sums the Sidon prime scan forms across the primes it
+#: rejects.  A sum takes ~0.3 us (py3.11, one core), so the cap is ~9 s;
+#: (n, t) = (6, 3) forms 22,475,310 and (7, 3) is refused.
+SIDON_SCAN_SUM_CAP = 30_000_000
 
 #: Cap on candidate polynomials scanned by the irreducible search.
 IRREDUCIBLE_SCAN_BUDGET = 1_000_000
@@ -116,27 +121,42 @@ def enumeration_budget(override: int | None = None) -> int:
     return override
 
 
-@contextmanager
-def _no_int_digit_limit():
-    """Lift Python's int/str digit limit (4300; from 3.10.7 on) in a block."""
-    if not hasattr(sys, "set_int_max_str_digits"):
-        yield
-        return
-    old = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
-    try:
-        yield
-    finally:
-        sys.set_int_max_str_digits(old)
+# Integer text is converted in blocks of at most this many digits, split at
+# 10^k for k = _SPLIT_DIGITS * 2^j.  CPython (from 3.10.7 on) never checks
+# text this short against its int/str digit limit, whatever the limit is set
+# to (sys.int_info.str_digits_check_threshold), so no conversion depends on
+# or changes that process-wide setting; and the split is faster than
+# CPython 3.11's quadratic str() and int() on long text.
+_SPLIT_DIGITS = 640
+
+
+@lru_cache(maxsize=None)  # one key per split level j
+def _pow10(k: int) -> int:
+    return 10**k
 
 
 def _decimal(x: int) -> str:
-    """``str(x)``, also past Python's int/str digit limit."""
-    try:
+    """``str(x)`` for an int of any size."""
+    if x < 0:
+        return "-" + _decimal(-x)
+    k = _SPLIT_DIGITS
+    if x < _pow10(k):
         return str(x)
-    except ValueError:  # past the digit limit
-        with _no_int_digit_limit():
-            return str(x)
+    while x >= _pow10(2 * k):
+        k *= 2
+    high, low = divmod(x, _pow10(k))
+    return _decimal(high) + _decimal(low).zfill(k)
+
+
+def _digits_to_int(body: str) -> int:
+    """``int(body)`` for an ASCII digit string of any length."""
+    n = len(body)
+    if n <= _SPLIT_DIGITS:
+        return int(body)
+    k = _SPLIT_DIGITS
+    while 2 * k < n:
+        k *= 2
+    return _digits_to_int(body[:-k]) * _pow10(k) + _digits_to_int(body[-k:])
 
 
 def charge(used: int, message: str, cap: int | None = None, **fields) -> None:
@@ -145,14 +165,16 @@ def charge(used: int, message: str, cap: int | None = None, **fields) -> None:
     ``cap=None`` means the enumeration budget; an explicit cap is compared
     as given.  ``message`` is a ``str.format`` template over ``used``,
     ``cap`` and ``fields``, formatted only on refusal; its integers print
-    in full, however many digits they have.
+    in full through :func:`_decimal`, however many digits they have.
     """
     if cap is None:
         cap = enumeration_budget()
     if used > cap:
-        with _no_int_digit_limit():
-            text = message.format(used=used, cap=cap, **fields)
-        raise BudgetExceeded(text)
+        values = dict(fields, used=used, cap=cap)
+        for name, value in values.items():
+            if isinstance(value, int):
+                values[name] = _decimal(value)
+        raise BudgetExceeded(message.format_map(values))
 
 
 def charge_comb(n: int, k: int, message: str, cap: int) -> int:

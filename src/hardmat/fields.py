@@ -17,7 +17,6 @@ arithmetic for a descriptor.  All operations are pure and exact.
 
 from __future__ import annotations
 
-import sys
 from functools import lru_cache
 from math import log10
 
@@ -26,6 +25,7 @@ from .budgets import (
     MAX_EXPONENT_BITS,
     Record,
     _decimal,
+    _digits_to_int,
     charge,
     is_prime,
 )
@@ -373,28 +373,12 @@ def power(field: FieldDescriptor, x, e: int):
 _MAX_INT_DIGITS = int(MAX_EXPONENT_BITS * log10(2)) + 1
 
 
-# Digit strings longer than this are parsed in two halves: CPython 3.11's
-# str -> int is quadratic in the digit count (10^6 digits take seconds).
-_SPLIT_DIGITS = 2048
+# Decimal text outside the integer ring is refused past CPython's int/str
+# digit limit (4300, from 3.10.7 on), on every Python version.
+_TEXT_DIGITS = 4300
 
 
-@lru_cache(maxsize=None)  # k = _SPLIT_DIGITS * 2^j: 11 keys below the digit cap
-def _pow10(k: int) -> int:
-    return 10**k
-
-
-def _digits_to_int(body: str) -> int:
-    """int(body) for an ASCII digit string, subquadratic in its length."""
-    n = len(body)
-    if n <= _SPLIT_DIGITS:
-        return int(body)
-    k = _SPLIT_DIGITS
-    while 2 * k < n:
-        k *= 2
-    return _digits_to_int(body[:-k]) * _pow10(k) + _digits_to_int(body[-k:])
-
-
-def _parse_decimal(raw: str, to_int=int) -> int:
+def _parse_decimal(raw: str, cap: int = _TEXT_DIGITS) -> int:
     if not isinstance(raw, str):
         raise ValueError(f"expected a decimal string, got {type(raw).__name__}")
     text = raw.strip()
@@ -402,24 +386,21 @@ def _parse_decimal(raw: str, to_int=int) -> int:
     body = text[1:] if neg else text
     if not (body.isascii() and body.isdigit()):
         raise ValueError(f"not a decimal integer: {raw!r}")
-    try:
-        value = to_int(body)
-    except ValueError:  # ASCII digits fail only Python's int/str digit limit
-        limit = sys.get_int_max_str_digits()
-        raise ValueError(
-            f"integer has {len(body)} digits, more than the limit of {limit}"
-        ) from None
+    if len(body) > cap:
+        raise ValueError(f"integer has {len(body)} digits, more than the limit of {cap}")
+    value = _digits_to_int(body)
     return -value if neg else value
 
 
 def encode_element(field: FieldDescriptor, x):
     """Wire encoding of one element; raises ValueError if x does not conform.
 
-    On the integer ring this is ``str(x)``, which CPython 3.11 computes in
-    time quadratic in the digit count: a 10^6-digit entry takes ~17 s, and one
-    near the 2^MAX_EXPONENT_BITS cap (3,010,300 digits) minutes.  Under the
-    default Sidon prime budget an integer construction's entries stay below
-    2^(10^6) (301,030 digits, ~1.8 s to print).
+    Integers, and the parts of a rational, print through
+    ``budgets._decimal``, which is still quadratic in the digit count
+    (py3.11, one core): 2^(2^20) (315,653 digits) takes ~1 s, a
+    10^6-digit entry ~10 s and one near the 2^MAX_EXPONENT_BITS cap
+    (3,010,300 digits) ~90 s.  Under the default Sidon prime budget an
+    integer construction's entries stay below 2^(10^6) (301,030 digits).
     """
     ops = ops_for(field)
     if not ops.conforms(x):
@@ -469,7 +450,7 @@ def decode_element(field: FieldDescriptor, raw):
     digits = len(raw.strip().removeprefix("-")) if isinstance(raw, str) else 0
     if digits > _MAX_INT_DIGITS:
         raise ValueError(f"integer has {digits} digits, more than 2^{MAX_EXPONENT_BITS} has")
-    return _parse_decimal(raw, _digits_to_int)
+    return _parse_decimal(raw, _MAX_INT_DIGITS)
 
 
 def descriptor_to_json(field: FieldDescriptor) -> dict:

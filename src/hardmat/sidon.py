@@ -14,6 +14,7 @@ from itertools import combinations
 
 from .budgets import (
     SIDON_PRIME_BUDGET,
+    SIDON_SCAN_SUM_CAP,
     SIDON_SUM_CAP,
     Record,
     _decimal,
@@ -41,13 +42,13 @@ def _charge_sums(size: int, t: int) -> None:
     charge_comb(size, t, "{used} subset sums exceed the cap of {cap}", SIDON_SUM_CAP)
 
 
-def _tsums_distinct(values, t: int) -> bool:
+def _tsums_distinct(values, t: int, seen: set) -> bool:
     """All sums of t elements at distinct positions are pairwise distinct.
 
-    Sums are compared as plain integers (no modulus), collected in a set;
-    the walk stops at the first sum already seen.
+    Sums are compared as plain integers (no modulus), collected in ``seen``;
+    the walk stops at the first sum already seen, so ``len(seen) + 1`` sums
+    were formed when it returns False.
     """
-    seen = set()
     for c in combinations(values, t):
         total = sum(c)
         if total in seen:
@@ -64,7 +65,7 @@ def verify_tsum_distinct(s, t: int) -> bool:
     if t > len(values):
         raise ValueError(f"t={t} exceeds the set size {len(values)}")
     _charge_sums(len(values), t)
-    return _tsums_distinct(values, t)
+    return _tsums_distinct(values, t, set())
 
 
 def construct_sidon(n: int, t: int) -> SidonSet:
@@ -73,7 +74,9 @@ def construct_sidon(n: int, t: int) -> SidonSet:
     Scans primes in increasing order starting just above n^2 (fewer residues
     cannot be pairwise distinct) and returns the first p for which the n^2
     residues 2^i mod p are distinct and all their t-subset sums are distinct.
-    Fully deterministic: equal inputs give identical p and grid.
+    The sums formed at rejected primes are charged against
+    SIDON_SCAN_SUM_CAP, which bounds the scan's time.  Fully deterministic:
+    equal inputs give identical p and grid.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
@@ -81,16 +84,24 @@ def construct_sidon(n: int, t: int) -> SidonSet:
     if t < 1 or t > size:
         raise ValueError(f"t must lie in [1, {_decimal(size)}], got {t}")
     _charge_sums(size, t)
+    message = (
+        "the prime scan for n={n}, t={t} formed {used} subset sums up to p={p}, "
+        "past the cap of {cap}"
+    )
+    formed = 0
     p = size + 1
     while p <= SIDON_PRIME_BUDGET:
         if is_prime(p):
             residues = [pow(2, i, p) for i in range(size)]
-            if len(set(residues)) == size and _tsums_distinct(residues, t):
+            seen = set()
+            if len(set(residues)) == size and _tsums_distinct(residues, t, seen):
                 grid = tuple(
                     tuple(residues[(i - 1) * n + (j - 1)] for j in range(1, n + 1))
                     for i in range(1, n + 1)
                 )
                 return SidonSet(n, t, p, grid)
+            formed += len(seen) + bool(seen)  # the sums kept, then the repeat
+            charge(formed, message, SIDON_SCAN_SUM_CAP, n=n, t=t, p=p)
         p += 1
     message = "no admissible prime up to the budget {cap} for n={n}, t={t}"
     charge(p, message, SIDON_PRIME_BUDGET, n=n, t=t)  # p is past the budget here

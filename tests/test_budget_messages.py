@@ -7,8 +7,11 @@ interpreter, before any layer module loads and reads it.
 """
 
 import ast
+import json
+import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -36,6 +39,9 @@ ROWS = [
      "the subset sums exceed the cap of 5000000"),
     ("sidon prime search", {"SIDON_PRIME_BUDGET": 20}, "construct_sidon(3, 2)",
      "no admissible prime up to the budget 20 for n=3, t=2"),
+    ("sidon prime scan sums", {"SIDON_SCAN_SUM_CAP": 1000}, "construct_sidon(4, 3)",
+     "the prime scan for n=4, t=3 formed 1043 subset sums up to p=277, "
+     "past the cap of 1000"),
     ("irreducible scan, F_2", {"IRREDUCIBLE_SCAN_BUDGET": 2}, "find_irreducible(2, 64)",
      "no irreducible of degree 64 over F_2 within 2 candidates"),
     ("irreducible scan, odd p", {"IRREDUCIBLE_SCAN_BUDGET": 2}, "find_irreducible(3, 64)",
@@ -158,6 +164,39 @@ class TestRefusalSemantics:
         assert certify_depth_d(n, 2, 1) > 0
         with pytest.raises(BudgetExceeded, match=" 4098 bits, "):
             certify_depth_d(2 * n, 2, 1)
+
+
+def test_sidon_scan_refuses_7_3_within_seconds():
+    """(n, t) = (7, 3) finds no prime below 309,503 and used to scan until
+    the prime budget (~46 s); the scan's sum cap refuses it in ~8 s (py3.11,
+    one core).  A subprocess, so that a traced test run times it untraced."""
+    src = str(Path(hardmat.__file__).parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    cmd = [sys.executable, "-m", "hardmat", "sidon", "--n", "7", "--t", "3"]
+    start = time.perf_counter()
+    out = subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=30)
+    assert time.perf_counter() - start < 30
+    assert out.returncode == 3
+    assert json.loads(out.stdout) == {
+        "error": {
+            "type": "budget",
+            "message": "the prime scan for n=7, t=3 formed 30001213 subset sums "
+            "up to p=309503, past the cap of 30000000",
+        }
+    }
+
+
+def test_no_code_touches_the_int_digit_limit():
+    """Integer text goes through budgets' split conversions, so no module
+    reads or sets the interpreter's process-wide int/str digit limit: no
+    name, attribute or string in the package names its accessors."""
+    names = set()
+    for path in Path(hardmat.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            name = getattr(node, "id", getattr(node, "attr", None))
+            names.add(node.value if isinstance(node, ast.Constant) else name)
+    assert "set_int_max_str_digits" not in names
+    assert "get_int_max_str_digits" not in names
 
 
 def test_budget_exceeded_is_raised_only_by_charge():

@@ -207,9 +207,6 @@ class TestOversizedInputs:
         assert code == 1
         assert (error["type"], error["line"], error["column"]) == ("parse", 1, 13)
 
-    @pytest.mark.skipif(
-        not hasattr(sys, "get_int_max_str_digits"), reason="no int/str digit limit"
-    )
     @pytest.mark.parametrize(
         "field, entry, prefix",
         [
@@ -224,12 +221,10 @@ class TestOversizedInputs:
         blob = json.dumps({"field": field, "rows": 1, "cols": 1, "entries": [entry]})
         argv = ["hitting", "kernelweight"]
         code, error = self.main_payload(argv, blob, monkeypatch, capsys)
-        limit = sys.get_int_max_str_digits()
         assert code == 1
         assert error == {
             "type": "domain",
-            "message": f"{prefix}integer has 5000 digits, "
-            f"more than the limit of {limit}",
+            "message": f"{prefix}integer has 5000 digits, more than the limit of 4300",
         }
 
     def test_slc_layer_past_the_budget_is_refused_before_allocating(

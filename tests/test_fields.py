@@ -2,6 +2,8 @@
 
 import random
 import sys
+import threading
+from contextlib import contextmanager
 from fractions import Fraction
 from itertools import product
 
@@ -11,6 +13,7 @@ from hypothesis import strategies as st
 
 from hardmat import budgets, fields, fppoly
 from hardmat.budgets import PRIMALITY_BOUND, BudgetExceeded
+from hardmat.circuits import parse_slc
 from hardmat.fields import (
     INTEGER_RING,
     RATIONAL_FIELD,
@@ -36,6 +39,18 @@ F5 = prime_field(5)
 F2 = prime_field(2)
 GF4 = extension_field(2, (1, 1, 1))  # F_2[z]/(z^2+z+1)
 GF27 = extension_field(3, find_irreducible(3, 3))
+
+
+@contextmanager
+def no_int_digit_limit():
+    """Lift Python's int/str digit limit inside a test, for str() and int()
+    as references."""
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(old)
 
 
 class TestFieldArith:
@@ -463,15 +478,87 @@ class TestEncodings:
 
     def test_split_parse_equals_int(self):
         rng = random.Random(5)
-        split = fields._SPLIT_DIGITS
+        split = budgets._SPLIT_DIGITS
         for length in (1, split - 1, split, split + 1, 2 * split, 2 * split + 1,
                        4 * split + 1, 5 * split + 3):
             text = "".join(rng.choice("0123456789") for _ in range(length))
-            with budgets._no_int_digit_limit():
+            with no_int_digit_limit():
                 expected = int(text)
             assert decode_element(INTEGER_RING, text) == expected
             assert decode_element(INTEGER_RING, "-" + text) == -expected
         assert decode_element(INTEGER_RING, "0" * (3 * split) + "12") == 12
+
+    def test_split_print_equals_str(self):
+        rng = random.Random(7)
+        cases = [0, 1, 9, -1, -(10**4300)]
+        for j in range(6):
+            k = budgets._SPLIT_DIGITS << j
+            cases += [10**k - 1, 10**k, 10**k + 1, -(10**k) - 1]
+            cases += [5 * 10**k + 7, 10 ** (2 * k) + 10 ** (k - 1)]  # low halves 00...
+        cases += [rng.getrandbits(rng.randrange(1, 60_001)) for _ in range(300)]
+        for x in cases:
+            with no_int_digit_limit():
+                expected = str(x)
+            assert budgets._decimal(x) == expected
+
+    def test_big_integers_under_the_lowest_digit_limit(self):
+        """CPython accepts a digit limit as low as 640 (for instance from
+        PYTHONINTMAXSTRDIGITS); big integers still print and parse."""
+        x = -(7**6000)
+        with no_int_digit_limit():
+            expected = str(x)
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(sys.int_info.str_digits_check_threshold)
+        try:
+            assert budgets._decimal(x) == expected
+            assert decode_element(INTEGER_RING, expected) == x
+        finally:
+            sys.set_int_max_str_digits(limit)
+
+    def test_digit_limit_untouched_under_threads(self):
+        """Printing past the int/str digit limit never changes that
+        process-wide setting, however the threads interleave."""
+        limit = sys.get_int_max_str_digits()
+        x = 7**6000  # 5,071 digits
+        errors = []
+
+        def work():
+            try:
+                for _ in range(3000):
+                    budgets._decimal(x)
+            except Exception as exc:  # reported by the assertion below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work) for _ in range(4)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+            after = sys.get_int_max_str_digits()
+            sys.set_int_max_str_digits(limit)  # keep a failure from spreading
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert after == limit
+
+    @pytest.mark.parametrize(
+        "parse",
+        [
+            lambda digits: decode_element(F5, digits),
+            lambda digits: decode_element(RATIONAL_FIELD, "1/" + digits),
+            lambda digits: parse_slc(f"field prime {digits}\nlayer 1 1\nend\n").field.p,
+        ],
+        ids=["prime residue", "rational part", "slc token"],
+    )
+    def test_decimal_text_cap_outside_the_integer_ring(self, parse):
+        assert parse("0" * 4299 + "3") in (3, Fraction(1, 3))
+        message = "integer has 4301 digits, more than the limit of 4300$"
+        with pytest.raises(ValueError, match=message):
+            parse("0" * 4300 + "3")
 
     def test_million_digit_parse(self):
         # str(x) of 10^6 digits is itself quadratic (seconds), so the parse
