@@ -33,6 +33,7 @@ __all__ = [
     "SIDON_SCAN_SUM_CAP",
     "IRREDUCIBLE_SCAN_BUDGET",
     "EXTENSION_BITS_CAP",
+    "EXTENSION_SLOT_BITS_CAP",
     "GAMMA_RANK_CAP",
     "SIGMA_VALUE_CAP",
     "TRIVIAL_HARD_CAP",
@@ -77,6 +78,16 @@ IRREDUCIBLE_SCAN_BUDGET = 1_000_000
 #: modulus read from outside is re-checked.  The largest extension the desk
 #: checks scan, (p, deg g) = (2, 10241), takes ~35 s (py3.11, one core).
 EXTENSION_BITS_CAP = 10_241
+
+#: Cap on an extension F_p[z]/(g) for odd p, in packed bits per element:
+#: deg g slots of the width ``fppoly`` packs a coefficient into (16 bits for
+#: F_3 up to degree 8191).  Charged after EXTENSION_BITS_CAP, since an odd-p
+#: ring costs far more per bit than F_2's.  The desk checks' (3, 1281)
+#: sits at the cap; re-checking an irreducible modulus there takes ~0.6 s
+#: and (3, 4901), 78,416 bits, is refused (py3.11, one core).  A scan's
+#: time also grows with the index of its first irreducible: (13, 521) at
+#: index 4410 takes 22-26 s.
+EXTENSION_SLOT_BITS_CAP = 20_496
 
 #: Cap on the cell updates of the rank gamma_t takes over an extension
 #: field, at most deg g * m * (2s - m - 1) / 2 for s subsets and

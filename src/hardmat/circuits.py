@@ -408,8 +408,6 @@ def min_depth2_sparsity(
                 s_c = s - s_b
                 if s_b < min_sb or s_c < min_sc:
                     continue
-                if s_b > n * m or s_c > m * n:
-                    continue
                 b_supports = b_lists.get((m, s_b))
                 if b_supports is None:
                     b_supports = b_lists[m, s_b] = _supports(

@@ -176,16 +176,10 @@ def _cmd_hard_quasipoly(args) -> dict:
 
 
 def _cmd_hard_amplify(args) -> dict:
-    from .constructions import amplify_direct_sum
-    from .matrices import matrix_to_json
+    from .constructions import HardMatrixBundle, amplify_direct_sum
 
-    matrix = read_matrix(args.input)
-    result = amplify_direct_sum(matrix, args.m)
-    payload = {
-        "provenance": {"construction": "amplified", "parameters": {"m": args.m}}
-    }
-    payload.update(matrix_to_json(result))
-    return payload
+    result = amplify_direct_sum(read_matrix(args.input), args.m)
+    return _bundle_payload(HardMatrixBundle(result, "amplified", {"m": args.m}))
 
 
 def _cmd_ssdim_gamma(args) -> dict:

@@ -41,7 +41,7 @@ class ExponentMatrix(Record):
 
 class HardMatrixBundle(Record):
     matrix: ExactMatrix
-    provenance: str  # finite-field | integer | trivial | quasipoly
+    provenance: str  # finite-field | integer | trivial | quasipoly | amplified
     parameters: dict
 
 

@@ -22,6 +22,7 @@ from math import log10
 
 from .budgets import (
     EXTENSION_BITS_CAP,
+    EXTENSION_SLOT_BITS_CAP,
     MAX_EXPONENT_BITS,
     Record,
     _decimal,
@@ -143,12 +144,19 @@ def find_irreducible(p: int, d: int) -> tuple[int, ...]:
 
 
 def _charge_extension(p: int, d: int) -> None:
-    """Refuse F_p[z]/(g) with deg g = d past EXTENSION_BITS_CAP bits per element."""
+    """Refuse F_p[z]/(g) with deg g = d past EXTENSION_BITS_CAP bits per
+    element, then for odd p past EXTENSION_SLOT_BITS_CAP packed bits."""
     message = (
-        "an extension of degree {d} over F_{p} takes {used} bits per element, "
+        "an extension of degree {d} over F_{p} takes {used} {unit} per element, "
         "past the cap of {cap}"
     )
-    charge(d * (p - 1).bit_length(), message, EXTENSION_BITS_CAP, d=d, p=p)
+    used = d * (p - 1).bit_length()
+    charge(used, message, EXTENSION_BITS_CAP, d=d, p=p, unit="bits")
+    if p > 2:  # deg g slots of the packed ring's slot width
+        from .fppoly import _fp_layout
+
+        used = d * 8 * _fp_layout(p, d)[0]
+        charge(used, message, EXTENSION_SLOT_BITS_CAP, d=d, p=p, unit="packed bits")
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,12 @@ are wide enough that no sum formed before a reduction carries out of one.
 ``unpack`` convert to and from residue tuples, low-degree-first, which is
 how the ``fields`` layer holds extension elements.  This module is the
 engine behind extension-field arithmetic and the deterministic irreducible
-search.
+search.  A ring computes its reduction data (the fold taps over F_2, the
+Barrett quotient over odd p) in one setup, run by the first code that
+multiplies in it: :func:`ring` for the field ops, or the irreducibility
+test once g gets past its folded steps.  Over F_2 the Frobenius map
+h -> h^2 spreads each byte of h into two through two 256-byte
+``bytes.translate`` tables, then folds the result mod g.
 
 The irreducibility test is Ben-Or's: g of degree d is irreducible iff
 gcd(g, z^(p^i) - z) = 1 for every i <= d/2.  While p^i < d a step's gcd runs
@@ -50,15 +55,21 @@ def trim(coeffs) -> Poly:
 
 
 def ring(g: Poly, p: int):
-    """F_p[z]/(g) on packed ints, for a monic g of degree >= 1.
+    """F_p[z]/(g) on packed ints, for a monic g of degree >= 1, set up for
+    ``pack``, ``mulmod``, ``frob`` and ``unpack``.
 
-    The ring is set up for ``pack``, ``mulmod``, ``frob`` and ``unpack``;
-    the irreducible scan builds its candidate rings directly and sets them
-    up only if a candidate gets past the folded Ben-Or steps.
+    This and ``_irreducible`` are the two places a ring is set up, each
+    once per ring; the irreducibility test and the scan build their rings
+    bare, since the folded Ben-Or steps need only ``coprime``.
     """
-    r = _F2Ring(_F2Ring.pack(g), len(g) - 1) if p == 2 else _FpRing(g, p)
+    r = _bare_ring(g, p)
     r._setup()
     return r
+
+
+def _bare_ring(g: Poly, p: int):
+    """F_p[z]/(g), not yet set up for products."""
+    return _F2Ring(_F2Ring.pack(g), len(g) - 1) if p == 2 else _FpRing(g, p)
 
 
 # ---------------------------------------------------------------------------
@@ -71,6 +82,11 @@ _FORMATS = {1: "B", 2: "H", 4: "I", 8: "Q"}
 #: Byte maps between 0/1 coefficients and the binary digits of a bitmask.
 _TO_DIGITS = bytes.maketrans(b"\0\1", b"01")
 _FROM_DIGITS = bytes.maketrans(b"01", b"\0\1")
+
+#: Squaring over F_2 moves bit i to bit 2i, so a byte spreads into two:
+#: the first from its low nibble, the second from its high nibble.
+_SPREAD_LOW = bytes(int("0".join(f"{b & 15:04b}"), 2) for b in range(256))
+_SPREAD_HIGH = bytes(int("0".join(f"{b >> 4:04b}"), 2) for b in range(256))
 
 #: Ben-Or steps per gcd inside the window; one gcd with g costs about as
 #: much as 4-7 steps.
@@ -123,18 +139,13 @@ def _f2_exponents(a: int) -> list[int]:
     return out
 
 
-@lru_cache(maxsize=8)
-def _f2_masks(d: int) -> tuple:
-    """Squaring masks below degree d: (s, the low s bits of every 2s-bit
-    block) for s halving from span/2 to 1."""
-    span = 1 << (d - 1).bit_length()  # power of two >= d, the input width
-    ones = (1 << 2 * span) - 1
-    masks = []
-    s = span >> 1
-    while s:
-        masks.append((s, ones // ((1 << 2 * s) - 1) * ((1 << s) - 1)))
-        s >>= 1
-    return tuple(masks)
+def _f2_square(h: int) -> int:
+    """h(z)^2 = h(z^2) over F_2: each byte of h spread into two bytes."""
+    raw = h.to_bytes((h.bit_length() + 7) // 8, "little")
+    out = bytearray(2 * len(raw))
+    out[0::2] = raw.translate(_SPREAD_LOW)
+    out[1::2] = raw.translate(_SPREAD_HIGH)
+    return int.from_bytes(out, "little")
 
 
 @lru_cache(maxsize=8)
@@ -172,7 +183,6 @@ class _F2Ring:
     def __init__(self, g: int, d: int):
         self.g, self.d = g, d
         self.terms = [(e, 1) for e in _f2_exponents(g)]
-        self._masks = None
 
     @staticmethod
     def pack(coeffs) -> int:
@@ -193,20 +203,13 @@ class _F2Ring:
         return h ^ 2
 
     def frob(self, h: int) -> int:
-        if self._masks is None:
-            self._setup()
-        # h(z)^2 = h(z^2): spread the bits apart in log2(d) mask steps
-        for s, m in self._masks:
-            h = (h | h << s) & m
-        return self._reduce(h)
+        return self._reduce(_f2_square(h))
 
     def mulmod(self, a: int, b: int) -> int:
-        """a * b mod g, once frob (or _setup) has run."""
         return self._reduce(_f2_clmul(a, b))
 
     def _setup(self):
         d = self.d
-        self._masks = _f2_masks(d)
         low = self.g ^ (1 << d)
         self._taps = _f2_exponents(low)
         self._low = (1 << d) - 1
@@ -251,7 +254,6 @@ class _FpRing:
         self.width, self.fmt, self._table, self._folds = _fp_layout(p, d)
         self.bits = 8 * self.width
         self.g = self.pack(g)
-        self._m = None
 
     def pack(self, coeffs) -> int:
         """Coefficients in [0, 2^bits), low-degree-first, one per slot."""
@@ -330,8 +332,6 @@ class _FpRing:
         return h + (((c - 1) % p - c) << bits)
 
     def frob(self, h: int) -> int:
-        if self._m is None:
-            self._setup()
         if not self.spread:
             out = h
             for bit in bin(self.p)[3:]:
@@ -374,7 +374,6 @@ class _FpRing:
         self._low = (1 << d * bits) - 1
 
     def mulmod(self, a: int, b: int) -> int:
-        """a * b mod g, once frob (or _setup) has run."""
         d, bits = self.d, self.bits
         x = a * b
         q = self._reduce(x >> d * bits)
@@ -431,6 +430,7 @@ def _irreducible(ring) -> bool:
         if not ring.coprime(ring.poly({n: 1, 1: p - 1}), ring.poly(folded)):
             return False
         i, n = i + 1, n * p
+    ring._setup()
     last = min(half, _window(p, d))
     h = ring.poly({n // p: 1})  # z^(p^(i-1)), reduced since p^(i-1) < d
     while i <= last:
@@ -461,7 +461,7 @@ def is_irreducible(g: Poly, p: int) -> bool:
         return False
     if g[-1] != 1:
         raise ValueError("irreducibility test expects a monic polynomial")
-    return _irreducible(ring(g, p))
+    return _irreducible(_bare_ring(g, p))
 
 
 def _digits(p: int, d: int, k: int) -> Poly:

@@ -354,14 +354,7 @@ def refute_symmetric(B: ExactMatrix, pair: PsdPair) -> RefutationVerdict:
         return RefutationVerdict(
             kind="sparsity-at-least-quarter", bound=bound, sparsity=total
         )
-    row = _first_sparse_nonzero(B.row_lists(), n // 2)
-    if row is None:
-        raise ValueError(
-            "factorization is sparse but has no row with <= n/2 nonzeros; "
-            "the pair does not satisfy the PSD invariants"
-        )
-    i = sparse_row_hit(row, n // 2, pair.probes)
-    v = pair.probes.vectors[i - 1]
+    i, v = _hit_sparse_line(B.row_lists(), "row", pair)
     value = hit_inner(product, v, v)
     return RefutationVerdict(
         kind="sparse-hitting-witness",
@@ -373,12 +366,18 @@ def refute_symmetric(B: ExactMatrix, pair: PsdPair) -> RefutationVerdict:
     )
 
 
-def _first_sparse_nonzero(rows: list, cap: int) -> list | None:
-    for row in rows:
-        nnz = sum(1 for x in row if x != 0)
-        if 0 < nnz <= cap:
-            return row
-    return None
+def _hit_sparse_line(lines, noun: str, pair: PsdPair) -> tuple:
+    """(i, v_i) for the first nonzero line with at most n/2 nonzeros, with
+    i the least probe index that line does not annihilate."""
+    half = pair.n // 2
+    for line in lines:
+        if 0 < sum(1 for x in line if x != 0) <= half:
+            i = sparse_row_hit(line, half, pair.probes)
+            return i, pair.probes.vectors[i - 1]
+    raise ValueError(
+        f"factorization is sparse but has no {noun} with <= n/2 nonzeros; "
+        "the pair does not satisfy the PSD invariants"
+    )
 
 
 def refute_invertible(
@@ -418,22 +417,9 @@ def refute_invertible(
         return RefutationVerdict(
             kind="sparsity-at-least-quarter", bound=bound, sparsity=total
         )
-    half = n // 2
-    if side == SIDE_LEFT:
-        # sparse factor C: hit one of its sparse nonzero rows
-        row = _first_sparse_nonzero(other.row_lists(), half)
-    else:
-        # sparse factor B: hit one of its sparse nonzero columns
-        row = _first_sparse_nonzero(
-            [list(other.col(j)) for j in range(n)], half
-        )
-    if row is None:
-        raise ValueError(
-            "factorization is sparse but has no line with <= n/2 nonzeros; "
-            "the pair does not satisfy the PSD invariants"
-        )
-    i = sparse_row_hit(row, half, pair.probes)
-    v = pair.probes.vectors[i - 1]
+    # a sparse C is hit through one of its rows, a sparse B through a column
+    lines = map(other.row if side == SIDE_LEFT else other.col, range(n))
+    i, v = _hit_sparse_line(lines, "line", pair)
     probe = from_rows(RATIONAL_FIELD, [[x] for x in v])
     image = matmul(product if side == SIDE_LEFT else transpose(product), probe).entries
     j = next(k + 1 for k, x in enumerate(image) if x != 0)

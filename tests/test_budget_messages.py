@@ -17,9 +17,13 @@ from pathlib import Path
 import pytest
 
 import hardmat
-from hardmat.budgets import CERTIFY_BITS_CAP, BudgetExceeded
+from hardmat.budgets import (
+    CERTIFY_BITS_CAP,
+    EXTENSION_SLOT_BITS_CAP,
+    BudgetExceeded,
+)
 from hardmat.circuits import min_depth2_sparsity
-from hardmat.fields import prime_field
+from hardmat.fields import _charge_extension, prime_field
 from hardmat.hitting import RSParams, min_kernel_weight, rs_generator
 from hardmat.matrices import from_rows, identity
 from hardmat.ssdim import certify_depth_d, pi_t
@@ -82,6 +86,9 @@ ROWS = [
     ("extension size, irreducible scan", {}, "find_irreducible(3, 7681)",
      "an extension of degree 7681 over F_3 takes 15362 bits per element, "
      "past the cap of 10241"),
+    ("extension packed size, irreducible scan", {}, "find_irreducible(3, 1282)",
+     "an extension of degree 1282 over F_3 takes 20512 packed bits per element, "
+     "past the cap of 20496"),
     ("extension size, .slc header", {}, "parse_slc('field ext 2 1 ' + '0 ' * 10241 + '1')",
      "an extension of degree 10242 over F_2 takes 10242 bits per element, "
      "past the cap of 10241"),
@@ -158,6 +165,11 @@ class TestRefusalSemantics:
         with pytest.raises(BudgetExceeded, match=message):
             min_depth2_sparsity(target, 2, 8, budget=12)
 
+    def test_packed_extension_cap_is_inclusive(self):
+        # (3, 1281) has 16-bit slots: 1281 * 16 is the cap itself
+        assert 1281 * 16 == EXTENSION_SLOT_BITS_CAP
+        _charge_extension(3, 1281)
+
     def test_certify_cap_is_inclusive(self):
         n = 2**2045  # with d = 2, t = 1 the bound is 2 * 2046 + 2 * 2 bits
         assert 2 * n.bit_length() + 2 * 2 == CERTIFY_BITS_CAP
@@ -166,24 +178,46 @@ class TestRefusalSemantics:
             certify_depth_d(2 * n, 2, 1)
 
 
+def _refused_within(args: str, seconds: float, message: str):
+    """``python -m hardmat <args>`` exits 3 within ``seconds`` with the budget
+    error ``message``.  A subprocess, so that a traced test run times it
+    untraced."""
+    src = str(Path(hardmat.__file__).parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    cmd = [sys.executable, "-m", "hardmat", *args.split()]
+    start = time.perf_counter()
+    out = subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=seconds)
+    assert time.perf_counter() - start < seconds
+    assert out.returncode == 3
+    assert json.loads(out.stdout) == {"error": {"type": "budget", "message": message}}
+
+
 def test_sidon_scan_refuses_7_3_within_seconds():
     """(n, t) = (7, 3) finds no prime below 309,503 and used to scan until
     the prime budget (~46 s); the scan's sum cap refuses it in ~8 s (py3.11,
-    one core).  A subprocess, so that a traced test run times it untraced."""
-    src = str(Path(hardmat.__file__).parent.parent)
-    env = dict(os.environ, PYTHONPATH=src)
-    cmd = [sys.executable, "-m", "hardmat", "sidon", "--n", "7", "--t", "3"]
-    start = time.perf_counter()
-    out = subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=30)
-    assert time.perf_counter() - start < 30
-    assert out.returncode == 3
-    assert json.loads(out.stdout) == {
-        "error": {
-            "type": "budget",
-            "message": "the prime scan for n=7, t=3 formed 30001213 subset sums "
-            "up to p=309503, past the cap of 30000000",
-        }
-    }
+    one core)."""
+    message = (
+        "the prime scan for n=7, t=3 formed 30001213 subset sums "
+        "up to p=309503, past the cap of 30000000"
+    )
+    _refused_within("sidon --n 7 --t 3", 30, message)
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        ("hard finite --p 3 --n 22 --t 1",
+         "an extension of degree 4901 over F_3 takes 78416 packed bits per element, "
+         "past the cap of 20496"),
+        ("hard finite --p 5 --n 17 --t 1",
+         "an extension of degree 2921 over F_5 takes 93472 packed bits per element, "
+         "past the cap of 20496"),
+    ],
+)
+def test_odd_p_extension_refused_within_seconds(args, message):
+    """Both pass the 10,241-bit cap and ran past 60 s before the packed-bits
+    cap; each scans a Sidon grid and exits 3 at once."""
+    _refused_within(args, 5, message)
 
 
 def test_no_code_touches_the_int_digit_limit():

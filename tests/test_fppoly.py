@@ -245,13 +245,37 @@ def test_binomials_against_sympy():
 
 
 def test_scan_builds_per_degree_tables_once():
-    # The F_2 squaring masks and the odd-p slot layout depend only on (p, d),
-    # so a scan builds them for its first candidate and reuses them after.
-    for p, d, build in [(2, 512, fppoly._f2_masks), (3, 100, fppoly._fp_layout)]:
-        build.cache_clear()
-        find_irreducible(p, d)
-        info = build.cache_info()
-        assert (info.misses, info.hits > 0) == (1, True)
+    # The odd-p slot layout depends only on (p, d), so a scan builds it for
+    # its first candidate and reuses it after.
+    fppoly._fp_layout.cache_clear()
+    find_irreducible(3, 100)
+    info = fppoly._fp_layout.cache_info()
+    assert (info.misses, info.hits > 0) == (1, True)
+
+
+def test_each_ring_is_set_up_once(monkeypatch):
+    rings = []
+    for cls in (fppoly._F2Ring, fppoly._FpRing):
+        setup = cls._setup
+        monkeypatch.setattr(
+            cls, "_setup", lambda self, setup=setup: (rings.append(self), setup(self))
+        )
+    g2, g3 = _bits((1 << 1281) | 1649), find_irreducible(3, 40)
+    rings.clear()
+    assert fppoly.is_irreducible(g2, 2) and fppoly.is_irreducible(g3, 3)
+    assert not fppoly.is_irreducible((0,) + g3[:-1] + (1,), 3)  # z divides it
+    fppoly.ring(g3, 3).frob(1)
+    assert len(rings) == 3 and len({id(r) for r in rings}) == 3
+
+
+def test_f2_square_spreads_bits():
+    # h(z)^2 = h(z^2): a 0 between every two binary digits of h
+    rng = random.Random(2)
+    lengths = [8 * k + e for k in (1, 2, 160, 1280) for e in (-1, 0, 1)]
+    values = [0, 1] + [(1 << n - 1) | rng.getrandbits(n - 1) for n in lengths]
+    values += [rng.getrandbits(rng.randrange(1, 10242)) for _ in range(200)]
+    for h in values:
+        assert fppoly._f2_square(h) == int("0".join(bin(h)[2:]), 2), h
 
 
 # ---------------------------------------------------------------------------
@@ -378,6 +402,7 @@ def test_packed_frobenius_matches_tuple_power(p, d):
     rng = random.Random(p * 11 + d)
     g = _random_monic(rng, p, d)
     ring = fppoly._FpRing(g, p)
+    ring._setup()
     assert ring.spread == (p == 3)
     for _ in range(5):
         h = fppoly.trim(tuple(rng.randrange(p) for _ in range(d)))

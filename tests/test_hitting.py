@@ -351,6 +351,19 @@ class TestRefuteSymmetric:
         assert verdict.value == 1  # v_1^T (B^T B) v_1 = 1
 
 
+    def test_sparse_factor_without_a_sparse_row_is_refused(self):
+        # a doctored pair: B has 3 < n^2/4 nonzeros and B^T B is "m", yet its
+        # one row has more than n/2 nonzeros
+        b = from_rows(QQ, [[1, 1, 1, 0]])
+        fake = PsdPair(4, b, matmul(transpose(b), b), vandermonde_vectors(4, 2))
+        with pytest.raises(ValueError) as exc:
+            refute_symmetric(b, fake)
+        assert str(exc.value) == (
+            "factorization is sparse but has no row with <= n/2 nonzeros; "
+            "the pair does not satisfy the PSD invariants"
+        )
+
+
 class TestRefuteInvertible:
     def test_identity_times_m(self):
         pair = build_hard_psd(2)
@@ -406,3 +419,20 @@ class TestRefuteInvertible:
         assert verdict.kind == "contradiction-witness"
         assert verdict.witness_index == 1
         assert verdict.witness_output == 1
+
+    @pytest.mark.parametrize("side", ["left-invertible", "right-invertible"])
+    def test_sparse_factor_without_a_sparse_line_is_refused(self, side):
+        # the sparse factor's one nonzero row (as C) or column (as B) has
+        # 3 > n/2 nonzeros, and the doctored "m" is the product
+        line = [[1, 1, 1, 0]] + [[0] * 4] * 3
+        sparse = from_rows(QQ, line if side == "left-invertible" else zip(*line))
+        fake = PsdPair(4, sparse, sparse, vandermonde_vectors(4, 2))
+        factors = (identity(QQ, 4), sparse)
+        if side == "right-invertible":
+            factors = factors[::-1]
+        with pytest.raises(ValueError) as exc:
+            refute_invertible(*factors, side, fake)
+        assert str(exc.value) == (
+            "factorization is sparse but has no line with <= n/2 nonzeros; "
+            "the pair does not satisfy the PSD invariants"
+        )
