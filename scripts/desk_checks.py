@@ -13,8 +13,11 @@ extension-field quotient fails a * (1/a) = 1, if RS(13, 7), one size
 step past the benchmark's RS(13, 8), does not show kernel weight k + 1, or
 if the dense 4x4 F_2 target, one size step past the benchmark's
 upper-triangular search, is not decided as s_min 14 after 271,309,209
-support pairs, if 2^(2^20) does not print with its length and last digits,
-or if the run changed the interpreter's int/str digit limit.
+support pairs, if a dense 10^6-triplet `.slc` layer does not parse, if the
+slowest layer chain under the verify work cap is refused or the dense
+1000 x 500 x 1000 chain past it is not, if 2^(2^20) does not print with its
+length and last digits, or if the run changed the interpreter's int/str
+digit limit.
 """
 
 import math
@@ -26,10 +29,11 @@ import time
 
 import hardmat
 
-from hardmat.budgets import _decimal
+from hardmat.budgets import VERIFY_WORK_CAP, BudgetExceeded, _decimal
 from hardmat.circuits import (
     CircuitFactorization,
     min_depth2_sparsity,
+    parse_slc,
     verify_factorization,
 )
 from hardmat.constructions import (
@@ -45,7 +49,14 @@ from hardmat.hitting import (
     min_kernel_weight,
     rs_generator,
 )
-from hardmat.matrices import from_rows, identity, kronecker, rank
+from hardmat.matrices import (
+    ExactMatrix,
+    from_rows,
+    identity,
+    kronecker,
+    rank,
+    zeros,
+)
 from hardmat.sidon import construct_sidon, verify_tsum_distinct
 from hardmat.ssdim import certify_depth_d, gamma_t, sigma_t
 
@@ -61,6 +72,12 @@ NEXT_SIZE_INDEX = {(3, 3, 2): 1300, (2, 3, 3): 13333, (2, 4, 2): 9281}
 #: (p, n, t) with p in {3, 5, 7, 13} timed when the packed-bits cap was set
 #: (22-26 s, py3.11, one core), and its scan index.
 SLOWEST_ODD_P_INDEX = {(13, 7, 1): 4410}
+
+#: The largest prime the primality test admits.  Its residues are the
+#: costliest of the field kinds whose steps the verify work cap bounds well
+#: (~9 s for a chain at the cap, py3.11, one core); rationals with
+#: denominators and integers of many digits cost far more per step.
+P_LARGEST = 3_317_044_064_679_887_385_961_813
 
 
 def section(title):
@@ -244,6 +261,60 @@ def main():
                 f"dense 4x4 target: s_min {result.s_min} after {result.nodes} "
                 "support pairs, not 14 after 271309209"
             )
+
+    section("Circuit text and verification at their caps")
+    f13 = prime_field(13)
+    text = "field prime 13\nlayer 1000 1000\n" + "".join(
+        f"{i} {j} {(i + j) % 12 + 1}\n" for i in range(1, 1001) for j in range(1, 1001)
+    )
+    t_parse = time.perf_counter()
+    layer = parse_slc(text + "end\n").factors[0]
+    print(
+        f"  parse_slc, dense 1000 x 1000 layer over F_13 (10^6 triplets, the "
+        f"layer budget): {time.perf_counter() - t_parse:.1f}s"
+    )
+    if layer.entries[-1] != 9:
+        failures.append("the dense 10^6-triplet layer parsed to other entries")
+    # the widest middle dimension m whose 1000 x m x 1000 steps, m * 10^6
+    # multiply-adds and 1000 * (m + 1000) visits, fit the cap
+    big = prime_field(P_LARGEST)
+    m = (VERIFY_WORK_CAP - 10**6) // (10**6 + 1000)
+    chain = CircuitFactorization(
+        big,
+        (
+            ExactMatrix(big, 1000, m, (P_LARGEST - 1,) * (1000 * m)),
+            ExactMatrix(big, m, 1000, (2,) * (1000 * m)),
+        ),
+    )
+    t_verify = time.perf_counter()
+    try:
+        result = verify_factorization(chain, zeros(big, 1000, 1000))
+        status = f"equal to zeros: {result.equal}"
+    except BudgetExceeded as exc:
+        status = f"refused: {exc}"
+        failures.append("the slowest chain under the verify work cap was refused")
+    print(
+        f"  verify, dense 1000 x {m} x 1000 over F_p, p = {P_LARGEST} "
+        f"(slowest under the cap): {status}, {time.perf_counter() - t_verify:.1f}s"
+    )
+    past = CircuitFactorization(
+        f13,
+        (
+            ExactMatrix(f13, 1000, 500, (5,) * 500_000),
+            ExactMatrix(f13, 500, 1000, (7,) * 500_000),
+        ),
+    )
+    t_verify = time.perf_counter()
+    try:
+        verify_factorization(past, zeros(f13, 1000, 1000))
+        failures.append("the dense 1000 x 500 x 1000 chain was not refused")
+        status = "admitted"
+    except BudgetExceeded as exc:
+        status = f"refused: {exc}"
+    print(
+        f"  verify, dense 1000 x 500 x 1000 over F_13 (ran ~93 s uncapped): "
+        f"{status}, {time.perf_counter() - t_verify:.2f}s"
+    )
 
     section("Big-integer text: 2^(2^20) printed in blocks under the digit limit")
     x = 2 ** 2**20

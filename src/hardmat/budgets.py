@@ -41,6 +41,7 @@ __all__ = [
     "PRIMALITY_BOUND",
     "MAX_EXPONENT_BITS",
     "CERTIFY_BITS_CAP",
+    "VERIFY_WORK_CAP",
     "charge",
     "charge_comb",
     "comb_within",
@@ -117,6 +118,17 @@ MAX_EXPONENT_BITS = 10**7
 #: Cap on the bits of n^2 * (d*t)^d in an exact s* certificate; at the cap
 #: one certificate takes at most ~0.2 s (py3.11, one core).
 CERTIFY_BITS_CAP = 4096
+
+
+#: Cap on the steps of multiplying out a circuit's layers to verify it,
+#: summed over the products and charged before each: sum_k nnz(column k of
+#: the left factor) * nnz(row k of the right) multiply-adds, plus one visit
+#: per entry of the left factor and of the result, all weighted by
+#: ``circuits._madd_steps`` over an extension.  A step takes 0.15-0.4 us over
+#: F_p, the integers and integer-valued rationals (py3.11, one core), so at
+#: most ~10 s at the cap; rationals with denominators and big integers cost
+#: far more per step.
+VERIFY_WORK_CAP = 25_000_000
 
 
 def enumeration_budget(override: int | None = None) -> int:

@@ -41,7 +41,7 @@ from itertools import product
 from math import comb
 
 from . import fields
-from .budgets import Record, charge, enumeration_budget
+from .budgets import VERIFY_WORK_CAP, Record, charge, enumeration_budget
 from .fields import (
     KIND_EXTENSION,
     KIND_INTEGER,
@@ -214,86 +214,70 @@ def parse_slc(text: str) -> CircuitFactorization:
     """
     if not isinstance(text, str):
         raise SlcParseError("input must be text")
-    lines = iter(_tokenize(text))
-    try:
-        line_no, tokens = next(lines)
-    except StopIteration:
-        raise SlcParseError("empty input: expected a 'field' header") from None
+    lines = _tokenize(text)
+    first = next(lines, None)
+    if first is None:
+        raise SlcParseError("empty input: expected a 'field' header")
+    line_no, tokens = first
     field = _parse_field_header(tokens, line_no)
-    ops = ops_for(field)
+    zero = ops_for(field).zero
 
     factors: list[ExactMatrix] = []
-    current: dict | None = None  # {"rows", "cols", "entries", "seen", "line"}
-    last_line = line_no
     cap, entries = enumeration_budget(), 0  # dense entries over all layers
-    for line_no, tokens in lines:
-        last_line = line_no
+    for line_no, tokens in lines:  # one iteration per layer block
         col0, head = tokens[0]
-        if head == "layer":
-            if current is not None:
+        if head == "end":
+            raise SlcParseError("'end' outside a layer", line_no, col0)
+        if head != "layer":
+            raise SlcParseError(f"expected 'layer' or 'end', got {head!r}", line_no, col0)
+        if len(tokens) != 3:
+            raise SlcParseError("'layer' takes rows and cols", line_no, col0)
+        rows = _parse_int(tokens[1][1], line_no, tokens[1][0], "rows")
+        cols = _parse_int(tokens[2][1], line_no, tokens[2][0], "cols")
+        if rows < 1 or cols < 1:
+            raise SlcParseError("layer dimensions must be positive", line_no, col0)
+        if factors and factors[-1].cols != rows:
+            raise SlcParseError(
+                f"dimension chain broken: previous layer has "
+                f"{factors[-1].cols} columns, this one {rows} rows",
+                line_no,
+                col0,
+            )
+        entries += rows * cols
+        charge(entries, _LAYER_BUDGET, cap, line=line_no, rows=rows, cols=cols)
+        flat, seen = [zero] * (rows * cols), set()
+        for line_no, tokens in lines:  # triplets up to the layer's 'end'
+            col0, head = tokens[0]
+            if head == "layer":
                 raise SlcParseError(
                     "previous layer was not closed with 'end'", line_no, col0
                 )
-            if len(tokens) != 3:
-                raise SlcParseError("'layer' takes rows and cols", line_no, col0)
-            rows = _parse_int(tokens[1][1], line_no, tokens[1][0], "rows")
-            cols = _parse_int(tokens[2][1], line_no, tokens[2][0], "cols")
-            if rows < 1 or cols < 1:
-                raise SlcParseError("layer dimensions must be positive", line_no, col0)
-            if factors and factors[-1].cols != rows:
-                raise SlcParseError(
-                    f"dimension chain broken: previous layer has "
-                    f"{factors[-1].cols} columns, this one {rows} rows",
-                    line_no,
-                    col0,
-                )
-            entries += rows * cols
-            charge(entries, _LAYER_BUDGET, cap, line=line_no, rows=rows, cols=cols)
-            current = {
-                "rows": rows,
-                "cols": cols,
-                "entries": [ops.zero] * (rows * cols),
-                "seen": set(),
-            }
-        elif head == "end":
-            if current is None:
-                raise SlcParseError("'end' outside a layer", line_no, col0)
-            if len(tokens) != 1:
-                raise SlcParseError("unexpected token after 'end'", line_no, tokens[1][0])
-            factors.append(
-                ExactMatrix(
-                    field, current["rows"], current["cols"], tuple(current["entries"])
-                )
-            )
-            current = None
-        else:
-            if current is None:
-                raise SlcParseError(
-                    f"expected 'layer' or 'end', got {head!r}", line_no, col0
-                )
+            if head == "end":
+                if len(tokens) != 1:
+                    raise SlcParseError(
+                        "unexpected token after 'end'", line_no, tokens[1][0]
+                    )
+                break
             if len(tokens) != 3:
                 raise SlcParseError(
                     "a triplet line is '<row> <col> <value>'", line_no, col0
                 )
-            r = _parse_int(tokens[0][1], line_no, tokens[0][0], "row")
-            c = _parse_int(tokens[1][1], line_no, tokens[1][0], "col")
-            if not 1 <= r <= current["rows"]:
-                raise SlcParseError(
-                    f"row {r} outside 1..{current['rows']}", line_no, tokens[0][0]
-                )
-            if not 1 <= c <= current["cols"]:
-                raise SlcParseError(
-                    f"col {c} outside 1..{current['cols']}", line_no, tokens[1][0]
-                )
-            if (r, c) in current["seen"]:
+            (col_r, token_r), (col_c, token_c), (col_v, token_v) = tokens
+            r = _parse_int(token_r, line_no, col_r, "row")
+            c = _parse_int(token_c, line_no, col_c, "col")
+            if not 1 <= r <= rows:
+                raise SlcParseError(f"row {r} outside 1..{rows}", line_no, col_r)
+            if not 1 <= c <= cols:
+                raise SlcParseError(f"col {c} outside 1..{cols}", line_no, col_c)
+            if (r, c) in seen:
                 raise SlcParseError(f"duplicate triplet for ({r}, {c})", line_no, col0)
-            current["seen"].add((r, c))
-            value = _parse_value(field, tokens[2][1], line_no, tokens[2][0])
-            current["entries"][(r - 1) * current["cols"] + (c - 1)] = value
-    if current is not None:
-        raise SlcParseError("unterminated layer: missing 'end'", last_line)
+            seen.add((r, c))
+            flat[(r - 1) * cols + (c - 1)] = _parse_value(field, token_v, line_no, col_v)
+        else:
+            raise SlcParseError("unterminated layer: missing 'end'", line_no)
+        factors.append(ExactMatrix(field, rows, cols, tuple(flat)))
     if not factors:
-        raise SlcParseError("no layers: a circuit needs at least one", last_line)
+        raise SlcParseError("no layers: a circuit needs at least one", line_no)
     return CircuitFactorization(field, tuple(factors))
 
 
@@ -323,20 +307,51 @@ def emit_slc(circuit: CircuitFactorization) -> str:
     return "\n".join(out) + "\n"
 
 
+def _madd_steps(field: FieldDescriptor) -> int:
+    """Steps that one multiply-add, or one entry visit, counts for.
+
+    1, except over F_p[z]/(g): a fixed 100 for the calls of the packed ring,
+    plus deg g times its slot width in bytes, where F_2's bit per
+    coefficient counts as a byte (it costs about as much).
+    """
+    if field.kind != KIND_EXTENSION:
+        return 1
+    if field.p == 2:
+        return 100 + field.degree
+    from .fppoly import _fp_layout
+
+    return 100 + field.degree * _fp_layout(field.p, field.degree)[0]
+
+
+_VERIFY_WORK = (
+    "multiplying out layers 1 to {layer} takes {used} steps, past the cap of {cap}"
+)
+
+
 def verify_factorization(
     circuit: CircuitFactorization, target: ExactMatrix
 ) -> VerificationResult:
-    """Multiply the layers exactly and compare against the target."""
+    """Multiply the layers exactly and compare against the target.
+
+    Each product's steps (see VERIFY_WORK_CAP) are charged before it is
+    formed, so BudgetExceeded names the last layer of the first product
+    that would pass the cap.
+    """
     if circuit.field != target.field:
         raise ValueError("circuit and target live over different fields")
-    prod = circuit.factors[0]
-    for factor in circuit.factors[1:]:
-        prod = matmul(prod, factor)
-    if prod.rows != target.rows or prod.cols != target.cols:
+    rows, cols = circuit.factors[0].rows, circuit.factors[-1].cols
+    if (rows, cols) != (target.rows, target.cols):
         raise ValueError(
-            f"product is {prod.rows}x{prod.cols}, target is "
-            f"{target.rows}x{target.cols}"
+            f"product is {rows}x{cols}, target is {target.rows}x{target.cols}"
         )
+    weight = _madd_steps(circuit.field)
+    prod, work = circuit.factors[0], 0
+    for layer, factor in enumerate(circuit.factors[1:], start=2):
+        left, right = sparsity(prod).col_counts, sparsity(factor).row_counts
+        madds = sum(c * r for c, r in zip(left, right))
+        work += weight * (madds + prod.rows * (prod.cols + factor.cols))
+        charge(work, _VERIFY_WORK, VERIFY_WORK_CAP, layer=layer)
+        prod = matmul(prod, factor)
     mismatch = first_mismatch(prod, target)
     return VerificationResult(mismatch is None, circuit.size, prod, mismatch)
 

@@ -133,18 +133,16 @@ def matmul(A: ExactMatrix, B: ExactMatrix) -> ExactMatrix:
         raise ValueError(f"dimension mismatch: {A.rows}x{A.cols} by {B.rows}x{B.cols}")
     ops = ops_for(A.field)
     add, mul, is_zero, zero = ops.add, ops.mul, ops.is_zero, ops.zero
-    b_rows = [B.row(k) for k in range(B.rows)]
+    # the nonzeros of each row of B, so a product costs its multiply-adds
+    b_rows = [
+        [(j, b) for j, b in enumerate(B.row(k)) if not is_zero(b)] for k in range(B.rows)
+    ]
     out = []
     for i in range(A.rows):
-        a_row = A.row(i)
         acc = [zero] * B.cols
-        for k, a in enumerate(a_row):
-            if is_zero(a):
-                continue
-            b_row = b_rows[k]
-            for j in range(B.cols):
-                b = b_row[j]
-                if not is_zero(b):
+        for k, a in enumerate(A.row(i)):
+            if not is_zero(a):
+                for j, b in b_rows[k]:
                     acc[j] = add(acc[j], mul(a, b))
         out.extend(acc)
     return ExactMatrix(A.field, A.rows, B.cols, tuple(out))

@@ -75,6 +75,12 @@ ROWS = [
     ("slc layers", {}, "parse_slc('field prime 5\\nlayer 1000000000000 1\\nend\\n')",
      "line 2: a 1000000000000 x 1 layer takes the circuit past the budget of "
      "1000000 dense entries"),
+    ("circuit verify steps", {},
+     "verify_factorization(CircuitFactorization(prime_field(2), ("
+     "ExactMatrix(prime_field(2), 1000, 25, (1,) * 25000), "
+     "ExactMatrix(prime_field(2), 25, 1000, (1,) * 25000))), "
+     "ExactMatrix(prime_field(2), 1000, 1000, (0,) * 10**6))",
+     "multiplying out layers 1 to 2 takes 26025000 steps, past the cap of 25000000"),
     ("search nodes", {}, "min_depth2_sparsity(identity(prime_field(2), 2), s_max=8, budget=2)",
      "search explored 3 support pairs; budget is 2"),
     ("primality", {}, f"is_prime({PSI13})",

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hardmat import circuits
 from hardmat.budgets import BudgetExceeded
 from hardmat.circuits import (
     CircuitFactorization,
@@ -28,6 +29,7 @@ from hardmat.matrices import ExactMatrix, from_rows, identity, zeros
 
 F2 = prime_field(2)
 F3 = prime_field(3)
+F5 = prime_field(5)
 
 ID2_TEXT = """
 # two-layer identity circuit
@@ -176,6 +178,38 @@ class TestParse:
                 1,
             ),
             ("field prime 2\nlayer 1 1\n1 2 1\nend\n", "col 2 outside 1..1", 3, 3),
+            ("# c\n  layer 1 1\nend\n", "expected 'field' header, got 'layer'", 2, 3),
+            (
+                "field prime 2\nlayer 2 3\n1 1 1\nend\n layer 2 2\n1 1 1\nend\n",
+                "dimension chain broken: previous layer has 3 columns, this one 2 rows",
+                5,
+                2,
+            ),
+            (
+                "field prime 2\nlayer 2 2\n1 1 1\n 1 1 0\nend\n",
+                "duplicate triplet for (1, 1)",
+                4,
+                2,
+            ),
+            ("field prime 2\nlayer 2 2\n1 2 1\n 3 1 1\nend\n", "row 3 outside 1..2", 4, 2),
+            ("field prime 2\nlayer 0 1\n1 1 1\nend\n", "layer dimensions must be positive", 2, 1),
+            ("field prime 2\nlayer x 1\nend\n", "rows: not a decimal integer: 'x'", 2, 7),
+            ("field prime 2\nlayer 1 -y\nend\n", "cols: not a decimal integer: '-y'", 2, 9),
+            ("field prime 2\nlayer 1 1\n z 1 1\nend\n", "row: not a decimal integer: 'z'", 3, 2),
+            ("field prime 2\nlayer 1 1\n1 1/1 1\nend\n", "col: not a decimal integer: '1/1'", 3, 3),
+            (
+                "field prime 2\nlayer 1 1\n1 1 1\nlayer 1 1\n",
+                "previous layer was not closed with 'end'",
+                4,
+                1,
+            ),
+            ("field prime 2\nend x\n", "'end' outside a layer", 2, 1),
+            (
+                "field prime 2\nlayer 1 1\nlayer 1\n",
+                "previous layer was not closed with 'end'",
+                3,
+                1,
+            ),
         ],
         ids=[
             "missing-kind",
@@ -200,6 +234,18 @@ class TestParse:
             "triplet-outside-layer",
             "triplet-arity",
             "col-out-of-range",
+            "header-not-field",
+            "chain-broken",
+            "duplicate-triplet",
+            "row-out-of-range",
+            "layer-zero-rows-before-triplets",
+            "rows-not-decimal",
+            "cols-not-decimal",
+            "row-not-decimal",
+            "col-not-decimal",
+            "layer-not-closed-after-triplet",
+            "end-outside-layer-before-extra-token",
+            "layer-not-closed-before-arity",
         ],
     )
     def test_raise_site_message_and_location(self, text, message, line, column):
@@ -208,6 +254,48 @@ class TestParse:
             parse_slc(text)
         assert (err.value.line, err.value.column) == (line, column)
         assert str(err.value) == f"line {line}, col {column}: {message}"
+
+    @pytest.mark.parametrize(
+        "text, message, line",
+        [
+            ("", "empty input: expected a 'field' header", None),
+            ("# only a comment\n\n   \n", "empty input: expected a 'field' header", None),
+            ("field prime 2\nlayer 2 2\n", "unterminated layer: missing 'end'", 2),
+            (
+                "field prime 2\nlayer 2 2\n1 1 1\n# trailing\n\n",
+                "unterminated layer: missing 'end'",
+                3,
+            ),
+            (
+                "field prime 2\nlayer 1 1\nend\nlayer 1 1\n",
+                "unterminated layer: missing 'end'",
+                4,
+            ),
+            ("field prime 2\n", "no layers: a circuit needs at least one", 1),
+            (
+                "# c\nfield prime 2\n# a\n\n# b\n",
+                "no layers: a circuit needs at least one",
+                2,
+            ),
+        ],
+        ids=[
+            "empty",
+            "comments-only",
+            "unterminated-bare-layer",
+            "unterminated-after-triplet",
+            "unterminated-second-layer",
+            "no-layers",
+            "no-layers-after-comments",
+        ],
+    )
+    def test_raise_site_without_column(self, text, message, line):
+        """The raise sites that name no column: the text, and the line of
+        the last non-empty line read (none for empty input)."""
+        with pytest.raises(SlcParseError) as err:
+            parse_slc(text)
+        assert (err.value.line, err.value.column) == (line, None)
+        prefix = "" if line is None else f"line {line}: "
+        assert str(err.value) == prefix + message
 
     def test_non_text_input(self):
         with pytest.raises(SlcParseError) as err:
@@ -330,6 +418,72 @@ class TestVerify:
         circuit = parse_slc(ID2_TEXT)
         with pytest.raises(ValueError):
             verify_factorization(circuit, identity(F2, 3))
+
+    @staticmethod
+    def _no_products(monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a product was formed")
+
+        monkeypatch.setattr(circuits, "matmul", refuse)
+
+    def test_target_shape_checked_before_any_product(self, monkeypatch):
+        self._no_products(monkeypatch)
+        circuit = CircuitFactorization(F2, (zeros(F2, 2, 4), zeros(F2, 4, 5)))
+        with pytest.raises(ValueError) as err:
+            verify_factorization(circuit, identity(F2, 3))
+        assert str(err.value) == "product is 2x5, target is 3x3"
+
+    def test_dense_chain_past_the_work_cap_refused_at_once(self, monkeypatch):
+        """A dense 1000 x 500 then 500 x 1000 layer over F_13 is 10^6
+        entries, which .slc admits, but their product is 5 * 10^8
+        multiply-adds: it ran for ~93 s before the work cap."""
+        self._no_products(monkeypatch)
+        f13 = prime_field(13)
+        left = ExactMatrix(f13, 1000, 500, (5,) * 500_000)
+        right = ExactMatrix(f13, 500, 1000, (7,) * 500_000)
+        circuit = CircuitFactorization(f13, (left, right))
+        with pytest.raises(BudgetExceeded) as err:
+            verify_factorization(circuit, zeros(f13, 1000, 1000))
+        assert str(err.value) == (
+            "multiplying out layers 1 to 2 takes 501500000 steps, past the cap "
+            "of 25000000"
+        )
+
+    def test_work_is_a_running_total_charged_before_each_product(self, monkeypatch):
+        """Layers 2 x 3, 3 x 4, 4 x 5 of ones over F_5: the first product
+        takes 3 * 2 * 4 multiply-adds and 2 * (3 + 4) entry visits (38 steps);
+        the second 4 * 2 * 5 and 2 * (4 + 5) (58 more), since the running
+        product 2 x 4 is dense.  The cap is inclusive."""
+        a, b, c = (
+            ExactMatrix(F5, r, k, (1,) * (r * k)) for r, k in [(2, 3), (3, 4), (4, 5)]
+        )
+        circuit = CircuitFactorization(F5, (a, b, c))
+        target = ExactMatrix(F5, 2, 5, (2,) * 10)  # entries 3 * 4 = 2 mod 5
+        monkeypatch.setattr(circuits, "VERIFY_WORK_CAP", 96)
+        assert verify_factorization(circuit, target).equal
+        monkeypatch.setattr(circuits, "VERIFY_WORK_CAP", 95)
+        with pytest.raises(BudgetExceeded) as err:
+            verify_factorization(circuit, target)
+        assert str(err.value) == (
+            "multiplying out layers 1 to 3 takes 96 steps, past the cap of 95"
+        )
+
+    @pytest.mark.parametrize(
+        "field, steps",
+        [
+            (extension_field(2, (1, 1, 1)), 102),  # 100 + deg g
+            (extension_field(3, (1, 0, 1)), 102),  # 100 + deg g * 1-byte slots
+            (extension_field(65521, (3, 0, 1)), 116),  # 100 + deg g * 8-byte slots
+        ],
+    )
+    def test_extension_steps_are_weighted(self, monkeypatch, field, steps):
+        """A 1 x 1 times 1 x 1 product: one multiply-add and two entry
+        visits, each weighted by the extension's steps per operation."""
+        one = identity(field, 1)
+        circuit = CircuitFactorization(field, (one, one))
+        monkeypatch.setattr(circuits, "VERIFY_WORK_CAP", 3 * steps - 1)
+        with pytest.raises(BudgetExceeded, match=f" takes {3 * steps} steps, "):
+            verify_factorization(circuit, one)
 
 
 def naive_min_depth2(A: ExactMatrix) -> int | None:
