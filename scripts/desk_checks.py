@@ -13,11 +13,12 @@ extension-field quotient fails a * (1/a) = 1, if RS(13, 7), one size
 step past the benchmark's RS(13, 8), does not show kernel weight k + 1, or
 if the dense 4x4 F_2 target, one size step past the benchmark's
 upper-triangular search, is not decided as s_min 14 after 271,309,209
-support pairs, if a dense 10^6-triplet `.slc` layer does not parse, if the
-slowest layer chain under the verify work cap is refused or the dense
-1000 x 500 x 1000 chain past it is not, if 2^(2^20) does not print with its
-length and last digits, or if the run changed the interpreter's int/str
-digit limit.
+support pairs, if a dense 10^6-triplet `.slc` layer does not parse, if a
+zero 1000 x 1000 layer over F_2[z]/(g) of degree 1281 does not parse to
+size 0, if the slowest layer chain under the verify work cap is refused or
+the dense 1000 x 500 x 1000 chain past it is not, if 2^(2^20) does not
+print with its length and last digits, or if the run changed the
+interpreter's int/str digit limit.
 """
 
 import math
@@ -275,6 +276,19 @@ def main():
     )
     if layer.entries[-1] != 9:
         failures.append("the dense 10^6-triplet layer parsed to other entries")
+    modulus = " ".join(map(str, extensions[0].modulus))  # F_2, deg g = 1281
+    t_parse = time.perf_counter()
+    try:
+        size = parse_slc(f"field ext 2 {modulus}\nlayer 1000 1000\nend\n").size
+        status = f"size {size}"
+    except Exception as exc:
+        size, status = None, f"raised {exc!r}"
+    if size != 0:
+        failures.append("the zero 1000 x 1000 deg-1281 layer did not parse to size 0")
+    print(
+        f"  parse_slc and .size, zero 1000 x 1000 layer over F_2[z]/(g), "
+        f"deg g = 1281: {status}, {time.perf_counter() - t_parse:.2f}s"
+    )
     # the widest middle dimension m whose 1000 x m x 1000 steps, m * 10^6
     # multiply-adds and 1000 * (m + 1000) visits, fit the cap
     big = prime_field(P_LARGEST)

@@ -312,6 +312,14 @@ class Record(metaclass=_RecordType):
             self.__post_init__()
 
     @classmethod
+    def _from_checked(cls, *values):
+        """A record of all its field values, checked already: no __post_init__."""
+        self = object.__new__(cls)
+        for name, value in zip(cls._fields, values):
+            object.__setattr__(self, name, value)
+        return self
+
+    @classmethod
     def _complete(cls, args: tuple, kwargs: dict) -> tuple:
         """Every field's value, in order, from a call using keywords or defaults."""
         if len(args) > len(cls._fields):

@@ -275,7 +275,7 @@ def parse_slc(text: str) -> CircuitFactorization:
             flat[(r - 1) * cols + (c - 1)] = _parse_value(field, token_v, line_no, col_v)
         else:
             raise SlcParseError("unterminated layer: missing 'end'", line_no)
-        factors.append(ExactMatrix(field, rows, cols, tuple(flat)))
+        factors.append(ExactMatrix._from_checked(field, rows, cols, tuple(flat)))
     if not factors:
         raise SlcParseError("no layers: a circuit needs at least one", line_no)
     return CircuitFactorization(field, tuple(factors))
@@ -643,6 +643,6 @@ def _build_witness(field, n, m, b_pos, c_pos, assignment):
     c_flat = [ops.zero] * (m * n)
     for idx, (k, j) in enumerate(c_pos):
         c_flat[k * n + j] = assignment[len(b_pos) + idx]
-    B = ExactMatrix(field, n, m, tuple(b_flat))
-    C = ExactMatrix(field, m, n, tuple(c_flat))
+    B = ExactMatrix._from_checked(field, n, m, tuple(b_flat))
+    C = ExactMatrix._from_checked(field, m, n, tuple(c_flat))
     return CircuitFactorization(field, (B, C))

@@ -70,7 +70,7 @@ def hard_over_finite(p: int, n: int, t: int) -> HardMatrixBundle:
             entry = [0] * degree
             entry[e] = 1
             flat.append(tuple(entry))
-    matrix = ExactMatrix(field, n, n, tuple(flat))
+    matrix = ExactMatrix._from_checked(field, n, n, tuple(flat))
     return HardMatrixBundle(
         matrix, "finite-field", {"p": p, "n": n, "t": t, "D": big_d}
     )
@@ -82,7 +82,7 @@ def hard_over_integers(n: int, t: int) -> HardMatrixBundle:
     message = "entry exponent {used} exceeds the bignum cap {cap}"
     charge(exp.max_degree, message, MAX_EXPONENT_BITS)
     flat = tuple(1 << e for row in exp.exponents for e in row)
-    matrix = ExactMatrix(INTEGER_RING, n, n, flat)
+    matrix = ExactMatrix._from_checked(INTEGER_RING, n, n, flat)
     return HardMatrixBundle(matrix, "integer", {"n": n, "t": t})
 
 
@@ -100,7 +100,7 @@ def trivial_hard(n: int) -> HardMatrixBundle:
         raise ValueError("n must be at least 1")
     message = "n={used} exceeds the cap {cap}; entries would have 2^{log_bits} bits"
     charge(n, message, TRIVIAL_HARD_CAP, log_bits=(n + 1) * (n - 1) + n)
-    matrix = ExactMatrix(INTEGER_RING, n, n, _trivial_entries(n))
+    matrix = ExactMatrix._from_checked(INTEGER_RING, n, n, _trivial_entries(n))
     return HardMatrixBundle(matrix, "trivial", {"n": n})
 
 

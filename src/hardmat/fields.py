@@ -252,7 +252,7 @@ class _ExtensionOps:
         return r.unpack(r.mulmod(r.pack(a), inv))
 
     def is_zero(self, a) -> bool:
-        return not any(a)
+        return a is self.zero or not any(a)
 
     def from_int(self, k: int):
         return (k % self.p,) + (0,) * (self.degree - 1)
@@ -410,9 +410,13 @@ def encode_element(field: FieldDescriptor, x):
     (3,010,300 digits) ~90 s.  Under the default Sidon prime budget an
     integer construction's entries stay below 2^(10^6) (301,030 digits).
     """
-    ops = ops_for(field)
-    if not ops.conforms(x):
+    if not ops_for(field).conforms(x):
         raise ValueError(f"element does not conform to {field!r}")
+    return _encode(field, x)
+
+
+def _encode(field: FieldDescriptor, x):
+    """Wire encoding of one element already known to conform."""
     if field.kind == KIND_PRIME:
         return str(x)
     if field.kind == KIND_EXTENSION:

@@ -316,8 +316,8 @@ def build_hard_psd(n: int) -> PsdPair:
     m = [Fraction(x, big_l * big_l) for row in gram for x in row]
     return PsdPair(
         n,
-        ExactMatrix(RATIONAL_FIELD, n, n, tuple(mtilde)),
-        ExactMatrix(RATIONAL_FIELD, n, n, tuple(m)),
+        ExactMatrix._from_checked(RATIONAL_FIELD, n, n, tuple(mtilde)),
+        ExactMatrix._from_checked(RATIONAL_FIELD, n, n, tuple(m)),
         HittingVectors(RATIONAL_FIELD, n, half, nodes[:half]),
     )
 

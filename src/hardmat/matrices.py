@@ -18,10 +18,10 @@ from .fields import (
     KIND_RATIONAL,
     RATIONAL_FIELD,
     FieldDescriptor,
+    _encode,
     decode_element,
     descriptor_from_json,
     descriptor_to_json,
-    encode_element,
     ops_for,
 )
 
@@ -49,14 +49,18 @@ __all__ = [
 
 
 class ExactMatrix(Record):
+    """Dense matrix: rows, cols >= 1 and ``entries`` a row-major tuple of
+    rows * cols elements of ``field``.  Entries are checked where they enter,
+    here or in ``decode_element``; builders from checked entries, or from
+    field operations on them, use ``_from_checked`` and skip the check."""
+
     field: FieldDescriptor
     rows: int
     cols: int
     entries: tuple  # row-major
 
     def __post_init__(self):
-        if self.rows < 1 or self.cols < 1:
-            raise ValueError("matrix dimensions must be positive")
+        _require_positive(self.rows, self.cols)
         if not isinstance(self.entries, tuple):
             object.__setattr__(self, "entries", tuple(self.entries))
         if len(self.entries) != self.rows * self.cols:
@@ -85,6 +89,11 @@ class ExactMatrix(Record):
         return [list(self.row(i)) for i in range(self.rows)]
 
 
+def _require_positive(rows: int, cols: int):
+    if rows < 1 or cols < 1:
+        raise ValueError("matrix dimensions must be positive")
+
+
 class SparsityReport(Record):
     total: int
     row_counts: tuple[int, ...]
@@ -110,16 +119,15 @@ def from_rows(field: FieldDescriptor, rows) -> ExactMatrix:
 
 
 def identity(field: FieldDescriptor, n: int) -> ExactMatrix:
-    ops = ops_for(field)
-    flat = [ops.zero] * (n * n)
-    for i in range(n):
-        flat[i * n + i] = ops.one
-    return ExactMatrix(field, n, n, tuple(flat))
+    flat = list(zeros(field, n, n).entries)
+    flat[:: n + 1] = [ops_for(field).one] * n
+    return ExactMatrix._from_checked(field, n, n, tuple(flat))
 
 
 def zeros(field: FieldDescriptor, rows: int, cols: int) -> ExactMatrix:
-    ops = ops_for(field)
-    return ExactMatrix(field, rows, cols, (ops.zero,) * (rows * cols))
+    _require_positive(rows, cols)
+    flat = (ops_for(field).zero,) * (rows * cols)
+    return ExactMatrix._from_checked(field, rows, cols, flat)
 
 
 def _require_same_field(A: ExactMatrix, B: ExactMatrix):
@@ -145,7 +153,7 @@ def matmul(A: ExactMatrix, B: ExactMatrix) -> ExactMatrix:
                 for j, b in b_rows[k]:
                     acc[j] = add(acc[j], mul(a, b))
         out.extend(acc)
-    return ExactMatrix(A.field, A.rows, B.cols, tuple(out))
+    return ExactMatrix._from_checked(A.field, A.rows, B.cols, tuple(out))
 
 
 def first_mismatch(A: ExactMatrix, B: ExactMatrix) -> tuple[int, int] | None:
@@ -160,7 +168,7 @@ def transpose(A: ExactMatrix) -> ExactMatrix:
     flat = []
     for j in range(A.cols):
         flat.extend(A.col(j))
-    return ExactMatrix(A.field, A.cols, A.rows, tuple(flat))
+    return ExactMatrix._from_checked(A.field, A.cols, A.rows, tuple(flat))
 
 
 def _integer_row(row: list) -> list:
@@ -245,7 +253,7 @@ def solve(A: ExactMatrix, B: ExactMatrix) -> ExactMatrix:
     flat = []
     for row in aug:
         flat.extend(row[n:])
-    return ExactMatrix(A.field, n, B.cols, tuple(flat))
+    return ExactMatrix._from_checked(A.field, n, B.cols, tuple(flat))
 
 
 def inverse(A: ExactMatrix) -> ExactMatrix:
@@ -281,7 +289,7 @@ def kronecker(A: ExactMatrix, B: ExactMatrix) -> ExactMatrix:
                 off = base + k * cols
                 for l in range(B.cols):
                     flat[off + l] = mul(a, B.at(k, l))
-    return ExactMatrix(A.field, rows, cols, tuple(flat))
+    return ExactMatrix._from_checked(A.field, rows, cols, tuple(flat))
 
 
 def sparsity(A: ExactMatrix) -> SparsityReport:
@@ -319,7 +327,7 @@ def lift_to_rational(A: ExactMatrix) -> ExactMatrix:
     """Explicitly view an integer-ring matrix over the rationals."""
     if A.field.kind != KIND_INTEGER:
         raise ValueError("lift_to_rational applies to integer-ring matrices")
-    return ExactMatrix(RATIONAL_FIELD, A.rows, A.cols, A.entries)
+    return ExactMatrix._from_checked(RATIONAL_FIELD, A.rows, A.cols, A.entries)
 
 
 # ---------------------------------------------------------------------------
@@ -333,7 +341,7 @@ def matrix_to_json(A: ExactMatrix) -> dict:
         "field": descriptor_to_json(A.field),
         "rows": A.rows,
         "cols": A.cols,
-        "entries": [encode_element(A.field, x) for x in A.entries],
+        "entries": [_encode(A.field, x) for x in A.entries],
     }
 
 
@@ -361,4 +369,4 @@ def matrix_from_json(obj) -> ExactMatrix:
             entries.append(decode_element(field, raw))
         except ValueError as exc:
             raise ValueError(f"entry {idx}: {exc}") from exc
-    return ExactMatrix(field, rows, cols, tuple(entries))
+    return ExactMatrix._from_checked(field, rows, cols, tuple(entries))

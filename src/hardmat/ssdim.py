@@ -154,7 +154,7 @@ def sigma_t(M: ExactMatrix, t: int, budget: int | None = None) -> int:
 
 
 def _check_bound_params(s: int, d: int, t: int, n: int):
-    for name, v in (("s", s), ("d", d), ("t", t), ("n", n)):
+    for name, v in (("d", d), ("t", t), ("n", n), ("s", s)):  # s is d*t in certify
         if isinstance(v, bool) or not isinstance(v, int) or v < 1:
             raise ValueError(f"{name} must be a positive integer")
     if s < d * t:

@@ -366,6 +366,21 @@ class TestSsdimCommands:
         assert result.exit_code == 0
         assert result.payload["s_star"] > 200
 
+    @pytest.mark.parametrize(
+        "d, t, message",
+        [
+            ("0", "5", "d must be a positive integer"),
+            ("2", "0", "t must be a positive integer"),
+            ("-2", "0", "d must be a positive integer"),
+        ],
+    )
+    def test_certify_names_the_parameter_it_refuses(self, capsys, d, t, message):
+        assert main(["ssdim", "certify", "--n", "1000", "--d", d, "--t", t]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert [json.loads(line) for line in lines] == [
+            {"error": {"type": "domain", "message": message}}
+        ]
+
     def test_certify_refuses_past_the_bit_cap(self, capsys):
         argv = ["ssdim", "certify", "--n", str(10**2200), "--d", "1", "--t", "1"]
         assert main(argv) == 3

@@ -303,6 +303,21 @@ class TestCertify:
         with pytest.raises(ValueError):
             certify_depth_d(2, 2, 1)  # lower = log2(4) = 2 < 4*log2(2e)
 
+    @pytest.mark.parametrize(
+        "n, d, t, message",
+        [
+            (1000, 0, 5, "d must be a positive integer"),
+            (1000, 2, 0, "t must be a positive integer"),
+            (1000, -2, 0, "d must be a positive integer"),
+            (0, 2, 1, "n must be a positive integer"),
+            (1000, 2, True, "t must be a positive integer"),
+        ],
+    )
+    def test_parameters_checked_before_s_is_formed(self, n, d, t, message):
+        with pytest.raises(ValueError) as info:
+            certify_depth_d(n, d, t)
+        assert str(info.value) == message
+
     def test_huge_depth_is_degenerate_without_huge_powers(self):
         message = "degenerate parameters: no size >= 1000000000000 is certified"
         with pytest.raises(ValueError, match=message):
